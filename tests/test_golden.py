@@ -1,0 +1,112 @@
+"""Golden digests: SHA-256 of every file `simulate` writes, per policy label.
+
+Each case runs `simulate --out P --task-log L` on 2000 synthetic Weibull
+cov=10 jobs (two replications) and compares the digests of P.csv, P.json and
+L against the pinned values. A refactor that claims byte identity must leave
+this file unchanged; a change that moves a digest on purpose re-pins it and
+says why in CHANGES.md. Print the current digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from dispatchsim.cli import main
+
+LABELS = ("rr", "jiq", "lwl", "card", "two_stage:rr", "two_stage:lwl")
+SIZES = (10, 100)
+
+GOLDEN = {
+    ("rr", 10): {
+        "csv": "ce4de70f9d323b7c3e0eca466be38cf1c118934b229fef962879d0d9b5ea6ff5",
+        "json": "41be5ea6af71c8077a7c536b08e49f033bfb6dd207478cad165ab9ae1f5ba4f5",
+        "log": "0ba6f0fbc33008651e6d7fd92ad5a1367a31c4923f66cd931996d9e6e3e4f40a",
+    },
+    ("rr", 100): {
+        "csv": "b2fc277876a35a3e0080199dda92d4cbe19af9f979e9c887dfd6af251ee6bcab",
+        "json": "2d20a88c89c8665c578db2956913a386c70a587bcf638c9b63dc546c8add63c7",
+        "log": "0f88abcb1f1fd1dbc7b0ce7c83fc35c16ac8cd2fd3d56eed099ed838aae11298",
+    },
+    ("jiq", 10): {
+        "csv": "3e4cff82991986bfa4e6efafb52236da4c6572f5448e04adc9c62c7009958f1e",
+        "json": "ef597b7ad28c60dea4b37d731cf9849e3aaa6b049a4f00b0d71b43ff0de6755e",
+        "log": "1ed0238146171cf1913b7202cbad3e781f681111ae84b56315d7a3145bd50ea9",
+    },
+    ("jiq", 100): {
+        "csv": "135cbaf074f133254c36c61b5603d3f80a8346b03e171cf42987ce29d8d8aab5",
+        "json": "b96a28b6cb6fc0b76f0db2605ce9c2461692d57692a7d211a6d3c5fa9d9af869",
+        "log": "a257442e659797488eecef93736aabf77a5c2ce83b1b1bdbffd1b512951cacc8",
+    },
+    ("lwl", 10): {
+        "csv": "ef6f242481024fb2ae2e325ffbac300e077f0b323a98889f17df122be06bbf52",
+        "json": "5c0f4121b9250c365ceca18cc1f9bbdbea0b353808cf61f8b4be89fe5f7434b2",
+        "log": "afff7591df36889f2067a7f98e34f7c0e515f23550b9934803f713d470a0417e",
+    },
+    ("lwl", 100): {
+        "csv": "3d3ba7f33c154974c82bce08ebfe0ccccf67badb1d497b7597ece96b0db6cdd7",
+        "json": "0e526170704d2571ea39aab91184d45b083dd42cc61f29f92295cac6ddc013d0",
+        "log": "c8adb5583b2d87af9ea3f60d5a4f83f8673cc4f0d04cfa85103f842c21e38564",
+    },
+    ("card", 10): {
+        "csv": "e564dbbc69beeaebb397ceb085a2677b962b351b7b4df9caab092ad357b65aa0",
+        "json": "f9baa4b226459011893873db87dd6a311a045bf78c88dd1d95fbc463836852f9",
+        "log": "ab8c50ddfb303c91adc0b3d2a7727972ddd7beab13cbef2efd5f7612aca51b7d",
+    },
+    ("card", 100): {
+        "csv": "4ba3626e27d1dabc7968ac1d17dca58f3cd8afde5def916559462656caa0ee2a",
+        "json": "4b6abc38010946b07d0945587d2665dbc1691d4d4514fe84b797c79f8dd008a2",
+        "log": "bb9fc0cca0bc5bec197685e025ad2af07361b360317b7ab94b90892291a55eff",
+    },
+    ("two_stage:rr", 10): {
+        "csv": "6c74540acf726f9d65528cb01eb5b86754eecdd1bebc95e26deff19111a5cd54",
+        "json": "489e50ff7fb6b817a355cfc12f220f6d9848ed010d162cb098eca5883c8b25ce",
+        "log": "d7fffd79290a0435620e540d9abd1381489b60826ee8970b1d0db439434cf5e2",
+    },
+    ("two_stage:rr", 100): {
+        "csv": "ff1e01831d4ca4d6c568cd64474767f898b3577cf64b85badf2ea917fb5debae",
+        "json": "4921455a9ea47fb4d1a4ae51482764718eed46fa783250174243836c8ba2a9ee",
+        "log": "1a52e9d6b18aaaee8e1ff4039a0328d6305c2c421b5cc6f10e9ec82636674a50",
+    },
+    ("two_stage:lwl", 10): {
+        "csv": "16cf8c3595026f8ca63c10f1974bf1ab6255021db1e3d6ea19d73991da5f4d91",
+        "json": "e3267cd22e8d8feec99e3cada4f86d9c6c02a4d884ff7a29c23ab55651269c4e",
+        "log": "f138eb2dc0c0fc3047ddf6e3248e34b183ecd44320874d57c6f639c7f307455b",
+    },
+    ("two_stage:lwl", 100): {
+        "csv": "133e6c9ce6c110cd233c8409776ef6288576dedb3b2446025aacf73da342c0dc",
+        "json": "4fc0d63a34105ff79c08b2b7e767a8a6dc35b408de8937bd652b229583a0a9f6",
+        "log": "16f6a039c699f3454be85292f3e53a417fff1f7a740a551b4c147e1674ee57c6",
+    },
+}
+
+
+def _digests(tmp: Path, label: str, n: int) -> dict:
+    out, log = tmp / "sim", tmp / "log.csv"
+    argv = ["simulate", "--policy", label, "--n", str(n), "--rho", "0.8", "--cov", "10",
+            "--jobs", "2000", "--replications", "2", "--seed", "7",
+            "--out", str(out), "--task-log", str(log)]
+    if label.startswith("two_stage:"):
+        argv += ["--theta-quantile", "0.95", "--n1", str(3 * n // 10)]
+    assert main(argv) == 0
+    files = {"csv": Path(f"{out}.csv"), "json": Path(f"{out}.json"), "log": log}
+    return {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in files.items()}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("label", LABELS)
+def test_simulate_outputs_match_golden_digests(tmp_path, capsys, label, n):
+    assert _digests(tmp_path, label, n) == GOLDEN[(label, n)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for label in LABELS:
+        for n in SIZES:
+            with tempfile.TemporaryDirectory() as d:
+                got = _digests(Path(d), label, n)
+            print(f"    ({label!r}, {n}): {got!r},", file=sys.stderr)
