@@ -11,14 +11,16 @@ sequence numbers from T upward as they are scheduled. Consequences:
     calendar fires after them;
   * two runs with the same inputs pop events in the same order, bit for bit.
 
-Work bookkeeping. Each server tracks the absolute instant `clear_time` at
-which its backlog empties. Enqueueing a requirement r advances it by
-r / speed; unfinished work at time t is max(0, clear_time - t) * speed, in
-size units. Because busy servers only ever extend clear_time by the same
-float additions that determine completion times, this stays bit-identical to
-summing remaining requirements. Idleness is tracked explicitly via the task
-in service: `clear_time <= now` is not a safe idle test at the exact instant
-a completion event is still pending.
+Work bookkeeping. The engine owns one flat list `clear`, indexed by global
+server, holding the absolute instant at which each server's backlog empties;
+both stages' policies read it through their `StageView` offset. Enqueueing a
+requirement r on server g advances clear[g] by r / speed; unfinished work at
+time t is max(0, clear[g] - t) * speed, in size units. Because busy servers
+only ever extend clear[g] by the same float additions that determine
+completion times, this stays bit-identical to summing remaining
+requirements. Idleness is tracked explicitly via the task in service:
+`clear[g] <= now` is not a safe idle test at the exact instant a completion
+event is still pending.
 
 Two-stage operation. With a two-stage policy a task of size s first occupies
 a stage-0 server for min(s, theta) (its precomputed stage requirement). If
@@ -56,10 +58,7 @@ class ServerState:
     """One FCFS server: the task in service plus a queue of waiting tasks."""
 
     __slots__ = (
-        "server_id",
-        "speed",
         "fcfs_queue",
-        "clear_time",
         "in_service_task",
         "in_service_req",
         "in_service_done",
@@ -68,21 +67,14 @@ class ServerState:
         "served_work",
     )
 
-    def __init__(self, server_id: int, speed: float) -> None:
-        self.server_id = server_id
-        self.speed = speed
+    def __init__(self) -> None:
         self.fcfs_queue: deque = deque()  # (task ordinal, requirement)
-        self.clear_time = 0.0
         self.in_service_task = -1
         self.in_service_req = 0.0
         self.in_service_done = 0.0
         self.busy_since = 0.0
         self.busy_integral = 0.0
         self.served_work = 0.0
-
-    def unfinished_work(self, now: float) -> float:
-        gap = self.clear_time - now
-        return gap * self.speed if gap > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -188,39 +180,34 @@ class CompletionLog:
                 )
 
 
-def _check_bookkeeping(servers, now: float, pol1, n1: int) -> None:
+def _check_bookkeeping(servers, now: float, stage_policies) -> None:
     """Debug invariants, re-derived by brute force after every event:
 
-      * tracked backlog (from clear_time) equals remaining in-service work
-        plus the sum of queued requirements;
+      * tracked backlog (read through each stage's view of `clear`) equals
+        remaining in-service work plus the sum of queued requirements;
       * an idle server has an empty queue and zero tracked work;
-      * a join-idle-queue bit table, if present, mirrors actual idleness.
+      * each stage's policy state agrees with its servers' busy flags.
     """
-    for s in servers:
+    speed = stage_policies[0].view.speed
+    tracked_work = [w for pol in stage_policies for w in pol.view.unfinished_work(now)]
+    for g, (s, tracked) in enumerate(zip(servers, tracked_work)):
         if s.in_service_task >= 0:
             left = s.in_service_done - now
-            brute = (left if left > 0.0 else 0.0) * s.speed
+            brute = (left if left > 0.0 else 0.0) * speed
             brute += sum(r for (_t, r) in s.fcfs_queue)
         else:
             if s.fcfs_queue:
-                raise AssertionError(f"server {s.server_id} idle with queued tasks")
+                raise AssertionError(f"server {g} idle with queued tasks")
             brute = 0.0
-        tracked = s.unfinished_work(now)
         if abs(brute - tracked) > 1e-9 * max(1.0, abs(brute)):
             raise AssertionError(
-                f"server {s.server_id} backlog drift: tracked {tracked!r} vs "
+                f"server {g} backlog drift: tracked {tracked!r} vs "
                 f"brute-force {brute!r} at t={now!r}"
             )
-    idle_table = getattr(pol1, "_pos", None)
-    if idle_table is not None:
-        for local in range(n1):
-            marked_idle = idle_table[local] >= 0
-            really_idle = servers[local].in_service_task < 0
-            if marked_idle != really_idle:
-                raise AssertionError(
-                    f"idle table out of sync at server {local}: "
-                    f"marked {marked_idle}, actual {really_idle}"
-                )
+    busy = [s.in_service_task >= 0 for s in servers]
+    for pol in stage_policies:
+        view = pol.view
+        pol.check_state(busy[view.offset:view.offset + view.count])
 
 
 def run(
@@ -241,7 +228,7 @@ def run(
     (workload, config, policy, seed): reruns are bit-identical.
 
     `debug_invariants` re-derives every server's backlog by brute force after
-    each event and cross-checks idle bookkeeping (slow; for tests).
+    each event and cross-checks each stage's policy state (slow; for tests).
     """
     policy.validate_for(config.n)
     if max_jobs is not None:
@@ -259,13 +246,14 @@ def run(
     if theta is not None and math.isinf(theta):
         theta = None  # stage 1 unreachable; skip the per-arrival comparison
 
-    servers = [ServerState(j, speed) for j in range(n)]
+    servers = [ServerState() for _ in range(n)]
+    clear = [0.0] * n  # instant each server's backlog empties
     pol1 = build_policy(policy.kind, policy.thresholds)
-    pol1.bind(StageView(servers, 0, n1, speed), policy_rng(seed, 0))
+    pol1.bind(StageView(clear, 0, n1, speed), policy_rng(seed, 0))
     pol2 = None
     if two_stage:
         pol2 = build_policy(policy.kind, None)
-        pol2.bind(StageView(servers, n1, n - n1, speed), policy_rng(seed, 1))
+        pol2.bind(StageView(clear, n1, n - n1, speed), policy_rng(seed, 1))
 
     completion = [math.nan] * T
     completed_stage = [0] * T
@@ -302,12 +290,12 @@ def run(
                 srv.in_service_req = req
                 done = now + req / speed
                 srv.in_service_done = done
-                srv.clear_time = done
+                clear[local] = done
                 srv.busy_since = now
                 seq += 1
                 heappush(heap, (done, seq, SERVICE_COMPLETION, local, task))
             else:
-                srv.clear_time += req / speed
+                clear[local] += req / speed
                 srv.fcfs_queue.append((task, req))
             pol1.on_assign(local, req)
         elif heap:
@@ -361,18 +349,18 @@ def run(
                     srv.in_service_req = size
                     done = now + size / speed
                     srv.in_service_done = done
-                    srv.clear_time = done
+                    clear[g] = done
                     srv.busy_since = now
                     seq += 1
                     heappush(heap, (done, seq, SERVICE_COMPLETION, g, task))
                 else:
-                    srv.clear_time += size / speed
+                    clear[g] += size / speed
                     srv.fcfs_queue.append((task, size))
                 pol2.on_assign(local, size)
         else:
             break
         if debug_invariants:
-            _check_bookkeeping(servers, now, pol1, n1)
+            _check_bookkeeping(servers, now, (pol1, pol2) if two_stage else (pol1,))
 
     for s in servers:
         if s.in_service_task >= 0:

@@ -29,14 +29,18 @@ class StageView:
     """Observable state of one stage: a contiguous block of servers.
 
     Policies address servers by stage-local index; the engine translates to
-    global indices. `unfinished_work` reports each server's backlog in size
-    units (queued plus remaining in-service requirement, scaled by speed).
+    global indices. `clear` is the engine-owned list, indexed by global
+    server, of the instants at which each backlog empties; the stage's
+    servers are clear[offset:offset + count]. The view holds the list
+    itself, so every engine write is visible to the next decision.
+    `unfinished_work` reports each server's backlog in size units (queued
+    plus remaining in-service requirement, scaled by speed).
     """
 
-    __slots__ = ("_servers", "offset", "count", "speed")
+    __slots__ = ("clear", "offset", "count", "speed")
 
-    def __init__(self, servers, offset: int, count: int, speed: float) -> None:
-        self._servers = servers
+    def __init__(self, clear: list[float], offset: int, count: int, speed: float) -> None:
+        self.clear = clear
         self.offset = offset
         self.count = count
         self.speed = speed
@@ -44,16 +48,11 @@ class StageView:
     def unfinished_work(self, now: float) -> list[float]:
         """Backlog of every server in the stage, in size units, at `now`."""
         speed = self.speed
-        off = self.offset
-        servers = self._servers
         out = []
-        for j in range(off, off + self.count):
-            gap = servers[j].clear_time - now
+        for c in self.clear[self.offset:self.offset + self.count]:
+            gap = c - now
             out.append(gap * speed if gap > 0.0 else 0.0)
         return out
-
-    def is_busy(self, local: int) -> bool:
-        return self._servers[self.offset + local].in_service_task >= 0
 
 
 class DispatchPolicy:
@@ -78,6 +77,10 @@ class DispatchPolicy:
 
     def on_server_idle(self, local: int) -> None:
         pass
+
+    def check_state(self, busy: list[bool]) -> None:
+        """Debug hook: raise AssertionError if the policy's own state
+        disagrees with the stage's busy flags (stage-local order)."""
 
 
 class RoundRobin(DispatchPolicy):
@@ -138,6 +141,11 @@ class JoinIdleQueue(DispatchPolicy):
         self._pos[local] = len(self._idle)
         self._idle.append(local)
 
+    def check_state(self, busy: list[bool]) -> None:
+        marked = [p >= 0 and self._idle[p] == j for j, p in enumerate(self._pos)]
+        if marked != [not b for b in busy] or len(self._idle) != busy.count(False):
+            raise AssertionError(f"idle table {self._idle} out of sync with busy flags {busy}")
+
 
 class LeastWorkLeft(DispatchPolicy):
     """Dispatch to the server with the least unfinished work.
@@ -147,11 +155,15 @@ class LeastWorkLeft(DispatchPolicy):
     """
 
     def choose(self, now: float, size: float | None) -> int:
-        work = self.view.unfinished_work(now)
-        best = work[0]
+        # unfinished_work's exact backlog expression, fused with the argmin
+        view = self.view
+        clear, off, speed = view.clear, view.offset, view.speed
+        gap = clear[off] - now
+        best = gap * speed if gap > 0.0 else 0.0
         ties = [0]
-        for j in range(1, len(work)):
-            w = work[j]
+        for j in range(1, view.count):
+            gap = clear[off + j] - now
+            w = gap * speed if gap > 0.0 else 0.0
             if w < best:
                 best = w
                 ties = [j]
@@ -194,17 +206,17 @@ class MultiBandCard(DispatchPolicy):
         n = self.view.count
         work = self.view.unfinished_work(now)
         tie = self.rng.permutation(n)
-        order = sorted(range(n), key=lambda j: (work[j], tie[j]))
+        order = np.lexsort((tie, work))  # by work, ties in permutation order
         m = self._m
         if size < m[0]:
-            return order[0]
+            return int(order[0])
         if size >= m[-1]:
-            return order[-1]
+            return int(order[-1])
         band = bisect_right(m, size)  # 1-based band index, in 1..n-1 here
-        preferred = order[band - 1]
+        preferred = int(order[band - 1])
         if work[preferred] <= self._c[band - 1]:
             return preferred
-        return order[band]
+        return int(order[band])
 
 
 @dataclass(frozen=True)

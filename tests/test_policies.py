@@ -1,11 +1,13 @@
+import copy
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispatchsim.analysis import CardThresholds
-from dispatchsim.engine import ServerState
 from dispatchsim.policies import (
     JoinIdleQueue,
     LeastWorkLeft,
@@ -20,14 +22,14 @@ from dispatchsim.randomness import policy_rng
 
 
 def _view(n, speed=1.0, offset=0, total=None):
-    servers = [ServerState(j, speed) for j in range(total or (offset + n))]
-    return StageView(servers, offset, n, speed), servers
+    clear = [0.0] * (total or (offset + n))
+    return StageView(clear, offset, n, speed), clear
 
 
 def _bound(policy, n, seed=0, **view_kw):
-    view, servers = _view(n, **view_kw)
+    view, clear = _view(n, **view_kw)
     policy.bind(view, policy_rng(seed, 0))
-    return policy, view, servers
+    return policy, view, clear
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +37,16 @@ def _bound(policy, n, seed=0, **view_kw):
 
 
 def test_stage_view_reports_work_in_size_units():
-    view, servers = _view(2, speed=0.5)
-    servers[0].clear_time = 10.0
+    view, clear = _view(2, speed=0.5)
+    clear[0] = 10.0
     assert view.unfinished_work(4.0) == [3.0, 0.0]  # (10-4)*0.5
     assert view.unfinished_work(12.0) == [0.0, 0.0]  # drained servers clamp
 
 
 def test_stage_view_offset_maps_local_indices():
-    view, servers = _view(2, offset=3, total=5)
-    servers[3].clear_time = 7.0
-    servers[0].clear_time = 99.0  # outside the stage; must be invisible
+    view, clear = _view(2, offset=3, total=5)
+    clear[3] = 7.0
+    clear[0] = 99.0  # outside the stage; must be invisible
     assert view.unfinished_work(5.0) == [2.0, 0.0]
 
 
@@ -114,6 +116,16 @@ def test_jiq_rejects_double_idle_message():
         pol.on_server_idle(0)
 
 
+def test_jiq_check_state_flags_idle_table_drift():
+    pol, _, _ = _bound(JoinIdleQueue(), 3)
+    pol.on_assign(1, 1.0)
+    pol.check_state([False, True, False])
+    with pytest.raises(AssertionError, match="out of sync"):
+        pol.check_state([False, False, False])  # server 1 drained unreported
+    with pytest.raises(AssertionError, match="out of sync"):
+        pol.check_state([True, True, False])  # server 0 busy but marked idle
+
+
 def test_jiq_uniform_over_idle_set():
     counts = Counter()
     for seed in range(2000):
@@ -130,10 +142,10 @@ def test_jiq_uniform_over_idle_set():
 
 
 def test_lwl_picks_unique_minimum():
-    pol, view, servers = _bound(LeastWorkLeft(), 3)
-    servers[0].clear_time = 5.0
-    servers[1].clear_time = 2.0
-    servers[2].clear_time = 9.0
+    pol, view, clear = _bound(LeastWorkLeft(), 3)
+    clear[0] = 5.0
+    clear[1] = 2.0
+    clear[2] = 9.0
     assert pol.choose(1.0, None) == 1
     # at t=8: works are (0, 0, 1) -> tie between 0 and 1, either is valid
     assert pol.choose(8.0, None) in (0, 1)
@@ -142,17 +154,17 @@ def test_lwl_picks_unique_minimum():
 def test_lwl_tie_break_uniform():
     counts = Counter()
     for seed in range(3000):
-        pol, view, servers = _bound(LeastWorkLeft(), 3, seed=seed)
-        servers[2].clear_time = 4.0  # servers 0,1 idle -> tied at zero
+        pol, view, clear = _bound(LeastWorkLeft(), 3, seed=seed)
+        clear[2] = 4.0  # servers 0,1 idle -> tied at zero
         counts[pol.choose(0.0, None)] += 1
     assert set(counts) == {0, 1}
     assert abs(counts[0] - 1500) < 140
 
 
 def test_lwl_sees_work_at_decision_time():
-    pol, view, servers = _bound(LeastWorkLeft(), 2)
-    servers[0].clear_time = 10.0
-    servers[1].clear_time = 3.0
+    pol, view, clear = _bound(LeastWorkLeft(), 2)
+    clear[0] = 10.0
+    clear[1] = 3.0
     assert pol.choose(0.0, None) == 1
     # by t=9.5 server 0 has 0.5 left, server 1 drained long ago
     assert pol.choose(9.5, None) == 1
@@ -169,41 +181,41 @@ def _card(n=4, rho=0.75, m=(1.0, 2.0, 4.0, 8.0)):
 
 
 def test_card_small_task_goes_to_least_loaded():
-    pol, view, servers = _bound(_card(), 4, seed=2)
+    pol, view, clear = _bound(_card(), 4, seed=2)
     for j, w in enumerate((3.0, 1.0, 7.0, 5.0)):
-        servers[j].clear_time = w
+        clear[j] = w
     assert pol.choose(0.0, 0.5) == 1  # size < m1 -> least loaded
 
 
 def test_card_huge_task_goes_to_most_loaded():
-    pol, view, servers = _bound(_card(), 4, seed=2)
+    pol, view, clear = _bound(_card(), 4, seed=2)
     for j, w in enumerate((3.0, 1.0, 7.0, 5.0)):
-        servers[j].clear_time = w
+        clear[j] = w
     assert pol.choose(0.0, 8.0) == 2  # size >= m_n -> most loaded
     assert pol.choose(0.0, 50.0) == 2
 
 
 def test_card_band_prefers_rank_then_spills():
     # m = (1,2,4,8); c = m/sqrt(0.25) = (2,4,8)
-    pol, view, servers = _bound(_card(), 4, seed=2)
+    pol, view, clear = _bound(_card(), 4, seed=2)
     works = (0.0, 3.0, 6.0, 20.0)
     for j, w in enumerate(works):
-        servers[j].clear_time = w
+        clear[j] = w
     # size 1.5 falls in band 1 [m1, m2); rank-1 server is 0 with W=0 <= c1=2
     assert pol.choose(0.0, 1.5) == 0
     # size 2.5 -> band 2 [m2, m3); rank-2 server is 1 with W=3 <= c2=4
     assert pol.choose(0.0, 2.5) == 1
     # now overload rank-2: W=5 > c2=4 spills to rank-3 (server 2)
-    servers[1].clear_time = 5.0
+    clear[1] = 5.0
     assert pol.choose(0.0, 2.5) == 2
 
 
 def test_card_every_size_maps_to_valid_server():
-    pol, view, servers = _bound(_card(), 4, seed=11)
+    pol, view, clear = _bound(_card(), 4, seed=11)
     rng = np.random.default_rng(0)
     for _ in range(500):
         for j in range(4):
-            servers[j].clear_time = float(rng.uniform(0, 10))
+            clear[j] = float(rng.uniform(0, 10))
         size = float(rng.lognormal(0, 2))
         assert 0 <= pol.choose(float(rng.uniform(0, 5)), size) < 4
 
@@ -213,7 +225,7 @@ def test_card_ties_randomized_by_permutation():
     # so the bottom rank should be uniform over servers
     counts = Counter()
     for seed in range(2000):
-        pol, view, servers = _bound(_card(), 4, seed=seed)
+        pol, view, clear = _bound(_card(), 4, seed=seed)
         counts[pol.choose(0.0, 0.5)] += 1
     assert set(counts) == {0, 1, 2, 3}
     for c in counts.values():
@@ -230,6 +242,109 @@ def test_card_thresholds_must_match_stage_width():
     view, _ = _view(3)
     with pytest.raises(ValueError, match="stage has 3"):
         _card().bind(view, policy_rng(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the pre-flat-state algorithms, written out here so they
+# share no code with the policies under test. Each dispatch is replayed on a
+# clone of the policy's generator taken just before choose().
+
+
+def _ref_work(clear, offset, n, speed, now):
+    out = []
+    for c in clear[offset:offset + n]:
+        gap = c - now
+        out.append(gap * speed if gap > 0.0 else 0.0)
+    return out
+
+
+def _ref_card(work, tie, m, c, size):
+    order = sorted(range(len(work)), key=lambda j: (work[j], tie[j]))
+    if size < m[0]:
+        return order[0]
+    if size >= m[-1]:
+        return order[-1]
+    band = sum(1 for x in m if x <= size)
+    preferred = order[band - 1]
+    return preferred if work[preferred] <= c[band - 1] else order[band]
+
+
+def _same_stream_position(a, b):
+    # Philox state holds small arrays, so compare the printed states
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def _ref_lwl(work, rng):
+    best = min(work)
+    ties = [j for j, w in enumerate(work) if w == best]
+    return ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+
+
+@st.composite
+def _backlog_states(draw):
+    """A stage inside a larger cluster whose clear times come from a pool of
+    at most four values, so duplicated clear times and zero-backlog ties
+    (clear time at or before `now`) are the common case."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    offset = draw(st.integers(min_value=0, max_value=3))
+    now = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    pool = draw(st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=1, max_size=4))
+    clear = draw(st.lists(st.sampled_from(pool + [now]), min_size=offset + n + 2,
+                          max_size=offset + n + 2))
+    speed = draw(st.sampled_from([0.1, 1.0, 1.5]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return n, offset, now, clear, speed, seed
+
+
+@given(_backlog_states(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_card_matches_sorted_reference(state, data):
+    n, offset, now, clear, speed, seed = state
+    m = sorted(data.draw(st.lists(st.floats(min_value=0.01, max_value=10.0),
+                                  min_size=n, max_size=n)))
+    c = data.draw(st.lists(st.floats(min_value=0.01, max_value=10.0),
+                           min_size=n - 1, max_size=n - 1))
+    sizes = data.draw(st.lists(st.floats(min_value=0.0, max_value=12.0),
+                               min_size=1, max_size=5))
+    pol = MultiBandCard(CardThresholds(m=tuple(m), c=tuple(c)))
+    pol.bind(StageView(clear, offset, n, speed), policy_rng(seed, 0))
+    for size in sizes:
+        clone = copy.deepcopy(pol.rng)
+        got = pol.choose(now, size)
+        tie = clone.permutation(n)
+        assert type(got) is int
+        assert got == _ref_card(_ref_work(clear, offset, n, speed, now), tie, m, c, size)
+        assert _same_stream_position(pol.rng, clone)  # exactly one permutation draw
+
+
+@given(_backlog_states())
+@settings(max_examples=200, deadline=None)
+def test_lwl_matches_reference(state):
+    n, offset, now, clear, speed, seed = state
+    pol = LeastWorkLeft()
+    pol.bind(StageView(clear, offset, n, speed), policy_rng(seed, 0))
+    for _ in range(3):
+        clone = copy.deepcopy(pol.rng)
+        got = pol.choose(now, None)
+        assert got == _ref_lwl(_ref_work(clear, offset, n, speed, now), clone)
+        assert _same_stream_position(pol.rng, clone)
+
+
+def test_lwl_ties_on_equal_products_not_equal_clear_times():
+    # two distinct clear times whose backlogs (c - now) * speed round to the
+    # same float: both are minimizers, so both must be drawn; an argmin over
+    # clear times would always pick server 1
+    now, speed = 0.25, 1.5
+    c_late = float.fromhex("0x1.c000000000003p+0")
+    c_early = float.fromhex("0x1.c000000000002p+0")
+    assert c_early < c_late
+    assert (c_early - now) * speed == (c_late - now) * speed
+    picks = set()
+    for seed in range(200):
+        pol, view, clear = _bound(LeastWorkLeft(), 3, seed=seed, speed=speed)
+        clear[:] = [c_late, c_early, 5.0]
+        picks.add(pol.choose(now, None))
+    assert picks == {0, 1}
 
 
 # ---------------------------------------------------------------------------
