@@ -1,10 +1,15 @@
-"""Golden digests: SHA-256 of every file `simulate` writes, per policy label.
+"""Golden digests: SHA-256 of every file `simulate` writes, per policy label,
+and of every array `engine.run` returns on tie-heavy and horizon-stopped runs.
 
-Each case runs `simulate --out P --task-log L` on 2000 synthetic Weibull
+Each CLI case runs `simulate --out P --task-log L` on 2000 synthetic Weibull
 cov=10 jobs (two replications) and compares the digests of P.csv, P.json and
-L against the pinned values. A refactor that claims byte identity must leave
-this file unchanged; a change that moves a digest on purpose re-pins it and
-says why in CHANGES.md. Print the current digests with
+L against the pinned values. Each engine case hashes every `CompletionLog`
+array plus `end_time` and `transfers` of one `run` on either a quantized
+multi-task workload (integer arrivals and sizes, speed 1, so arrivals,
+completions and transfers share instants) or a continuous one, drained or
+stopped at a horizon. A refactor that claims byte identity must leave this
+file unchanged; a change that moves a digest on purpose re-pins it and says
+why in CHANGES.md. Print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,9 +18,13 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dispatchsim.cli import main
+from dispatchsim.engine import run
+from dispatchsim.policies import parse_policy
+from dispatchsim.workload import ClusterConfig, Workload, fit_weibull, generate_poisson_weibull
 
 LABELS = ("rr", "jiq", "lwl", "card", "two_stage:rr", "two_stage:lwl")
 SIZES = (10, 100)
@@ -102,6 +111,61 @@ def test_simulate_outputs_match_golden_digests(tmp_path, capsys, label, n):
     assert _digests(tmp_path, label, n) == GOLDEN[(label, n)]
 
 
+ENGINE_CASES = {
+    # (workload, label, horizon): quantized runs on 8 servers at load ~0.56,
+    # four of them stage 0 with theta=4 (sizes equal to theta stay there)
+    ("quantized", "rr", None):
+        "ee92e79a2452667883bdcbdb42b30edef5f2f7e654a9c3b7bd5ec6e74bdba5a5",
+    ("quantized", "rr", 400.0):
+        "ea7acbca6335b57d23f1b6612051024a5f1c48ad567b366978a4d8a20bad0cd7",
+    ("quantized", "two_stage:rr", None):
+        "e5898e36c363bf526227b3696ebd77a440a8b89fe2f5404d0f8cdd013400370a",
+    ("quantized", "two_stage:rr", 400.0):
+        "beb9936d7b420abe358684881504f0cabb46e4bf74d8e99600e537c74692db7d",
+    ("continuous", "rr", 2000.0):
+        "fcaa26cc21ff9707a1ac2a35b3e9716170f59c37d384134859390452bc805e17",
+    ("continuous", "two_stage:rr", 2000.0):
+        "f529505112563f654ed32bc70a34ac8c70ccc625b403cf3aad0b37ac34bd3a77",
+}
+
+
+def _quantized_workload() -> Workload:
+    """400 jobs of 1-4 tasks; arrival gaps in 0..4, sizes in 1..6."""
+    rng = np.random.default_rng(2024)
+    jobs = 400
+    arrivals = np.cumsum(rng.integers(0, 5, jobs)).astype(np.float64)
+    counts = rng.integers(1, 5, jobs)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    sizes = rng.integers(1, 7, int(offsets[-1])).astype(np.float64)
+    indices = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+    return Workload(np.arange(jobs, dtype=np.int64), arrivals, offsets, sizes, indices,
+                    float(arrivals[-1]), "quantized")
+
+
+def _engine_digest(kind: str, label: str, horizon) -> str:
+    if kind == "quantized":
+        wl = _quantized_workload()
+        cfg = ClusterConfig.for_workload(8, 1.0, wl)
+        n1, theta = 4, 4.0
+    else:
+        cfg = ClusterConfig.synthetic(10, 0.8)
+        wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 3000, 3)
+        n1, theta = 3, 2.0
+    kw = {"n1": n1, "theta": theta} if label.startswith("two_stage:") else {}
+    log = run(wl, cfg, parse_policy(label, **kw), seed=11, horizon=horizon)
+    h = hashlib.sha256()
+    for arr in (log.completion, log.completed_stage, log.stage1_server, log.stage2_server,
+                log.transfer_time, log.served_work, log.busy_integral):
+        h.update(arr.tobytes())
+    h.update(repr((log.end_time, log.transfers)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES, ids=["-".join(map(str, c)) for c in ENGINE_CASES])
+def test_engine_outputs_match_golden_digests(case):
+    assert _engine_digest(*case) == ENGINE_CASES[case]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -110,3 +174,5 @@ if __name__ == "__main__":
             with tempfile.TemporaryDirectory() as d:
                 got = _digests(Path(d), label, n)
             print(f"    ({label!r}, {n}): {got!r},", file=sys.stderr)
+    for case in ENGINE_CASES:
+        print(f"    {case!r}: {_engine_digest(*case)!r},", file=sys.stderr)
