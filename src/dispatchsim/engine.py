@@ -28,6 +28,16 @@ s > theta (strictly), a transfer event fires at the truncation instant; the
 partial work is discarded and the task restarts from scratch, requiring the
 full s, on a stage-1 server chosen by an independent instance of the same
 policy kind. Tasks with s == theta complete at stage 0.
+
+Round robin. RR's choice is a counter, so stage-0 server g serves tasks g,
+g + n1, ... in dispatch order and stage-1 server n1 + h serves transfers h,
+h + (n - n1), ... in transfer order. `run` sends rr and two_stage:rr (unless
+`debug_invariants`) to a per-server FCFS recursion (Lindley, 1952):
+c = c + r/speed if a <= c else a + r/speed, the same float operations as the
+calendar. `<=` is exact because an arrival precedes a same-instant
+completion. It declines, and the calendar runs, when sequence numbers would
+order stage 1: two transfers at one instant, or a transfer reaching its
+server exactly at that server's previous completion.
 """
 
 from __future__ import annotations
@@ -172,12 +182,15 @@ class CompletionLog:
                 "job_id,task_index,arrival_time,size,stage1_server,"
                 "stage2_server,transfer_time,completion_time,completed_stage\n"
             )
-            for ti in self.iter_task_instances():
-                fh.write(
-                    f"{ti.job_id},{ti.task_index},{ti.arrival_time!r},{ti.size!r},"
-                    f"{ti.stage1_server},{ti.stage2_server},{ti.transfer_time!r},"
-                    f"{ti.completion_time!r},{ti.completed_stage}\n"
-                )
+            wl = self.workload
+            task_arrival, task_size, task_job = wl.task_arrays()
+            columns = (wl.job_ids[task_job], wl.task_indices, task_arrival, task_size,
+                       self.stage1_server, self.stage2_server, self.transfer_time,
+                       self.completion, self.completed_stage)
+            for job, k, arr, size, s1, s2, tt, done, stage in zip(
+                *(c.tolist() for c in columns)
+            ):
+                fh.write(f"{job},{k},{arr!r},{size!r},{s1},{s2},{tt!r},{done!r},{stage}\n")
 
 
 def _check_bookkeeping(servers, now: float, stage_policies) -> None:
@@ -210,6 +223,84 @@ def _check_bookkeeping(servers, now: float, stage_policies) -> None:
         pol.check_state(busy[view.offset:view.offset + view.count])
 
 
+def _rr_chains(arr: list, req: list, count: int, speed: float, stop: float):
+    """FCFS recursion of `count` servers fed round robin: dispatch k, ready
+    at arr[k] with requirement req[k], goes to server k % count. Returns the
+    completion of each dispatch (NaN past `stop`) and, per server, (closed
+    busy integral, served work, open period start, first completion past
+    `stop` or inf, last completion)."""
+    done = np.full(len(arr), math.nan)
+    servers = []
+    for g in range(count):
+        c = since = b = w = 0.0
+        p = math.inf
+        out = []
+        push = out.append
+        for a, r in zip(arr[g::count], req[g::count]):
+            if a <= c:  # an arrival precedes a same-instant completion
+                c = c + r / speed
+            else:  # the previous busy period closed at c
+                b += c - since
+                since = a
+                c = a + r / speed
+            if c > stop:
+                p = c
+                break
+            w += r
+            push(c)
+        else:
+            b += c - since
+        done[g:g + count * len(out):count] = out
+        servers.append((b, w, since, p, c))
+    return done, servers
+
+
+def _run_rr(workload, config, policy, seed, horizon) -> CompletionLog | None:
+    """`run` for rr and two_stage:rr: one `_rr_chains` per stage, or None
+    where it declines (see "Round robin" above)."""
+    task_arrival, task_size, _task_job = workload.task_arrays()
+    n, speed = config.n, float(config.mu)
+    n1 = policy.n1 if policy.two_stage else n
+    theta = policy.theta if policy.two_stage else math.inf
+    stop = math.inf if horizon is None else horizon
+    T = len(task_size)
+    D = int(np.searchsorted(task_arrival, stop, side="right"))  # dispatched
+    size = task_size[:D]
+    done0, servers = _rr_chains(task_arrival[:D].tolist(), np.minimum(size, theta).tolist(),
+                                n1, speed, stop)
+    moved = np.flatnonzero((size > theta) & ~np.isnan(done0))
+    moved = moved[np.argsort(done0[moved], kind="stable")]
+    at = done0[moved]  # transfer instants, in stage-1 dispatch order
+    if np.any(at[1:] == at[:-1]):
+        return None
+    count = n - n1
+    done1, servers1 = _rr_chains(at.tolist(), task_size[moved].tolist(), count, speed, stop)
+    if len(at) > count and np.any(at[count:] == done1[:-count]):
+        return None
+    busy, work, since, pend, last = zip(*(servers + servers1))
+    late = [float(task_arrival[D])] if D < T else []
+    end_time = min(list(pend) + late)  # the first event past the horizon
+    if end_time == math.inf:  # drained: the last event is the last completion
+        end_time = max(last)
+    busy = [b if p == math.inf else b + (end_time - s) for b, s, p in zip(busy, since, pend)]
+
+    completion = np.full(T, math.nan)
+    completion[:D] = done0
+    completion[moved] = done1
+    completed_stage = np.zeros(T, dtype=np.int8)
+    completed_stage[:D] = ~np.isnan(done0)
+    completed_stage[moved] = np.where(np.isnan(done1), 0, 2)
+    stage1_server = np.full(T, -1, dtype=np.int32)
+    stage1_server[:D] = np.arange(D) % n1
+    stage2_server = np.full(T, -1, dtype=np.int32)
+    stage2_server[moved] = n1 + np.arange(len(moved)) % count
+    transfer_time = np.full(T, math.nan)
+    transfer_time[moved] = at
+    return CompletionLog(
+        workload, config, policy, seed, completion, completed_stage, stage1_server,
+        stage2_server, transfer_time, np.asarray(work), np.asarray(busy), end_time, len(moved))
+
+
 def run(
     workload: Workload,
     config: ClusterConfig,
@@ -228,11 +319,16 @@ def run(
     (workload, config, policy, seed): reruns are bit-identical.
 
     `debug_invariants` re-derives every server's backlog by brute force after
-    each event and cross-checks each stage's policy state (slow; for tests).
+    each event and cross-checks each stage's policy state (slow; for tests);
+    it also sends rr through the calendar instead of the recursion.
     """
     policy.validate_for(config.n)
     if max_jobs is not None:
         workload = workload.truncated(max_jobs)
+    if policy.kind == "rr" and not debug_invariants:
+        log = _run_rr(workload, config, policy, seed, horizon)
+        if log is not None:
+            return log
     task_arrival, task_size, _task_job = workload.task_arrays()
     arr_l = task_arrival.tolist()
     size_l = task_size.tolist()

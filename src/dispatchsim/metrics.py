@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .analysis import Distribution, mg1_mean_response
 from .engine import CompletionLog
@@ -161,6 +160,8 @@ def summarize_replications(results) -> ReplicationSummary:
     mean = float(mrts.mean())
     half = None
     if len(results) >= 2:
+        from scipy.stats import t as student_t  # ~0.7 s to import: only when needed
+
         se = float(mrts.std(ddof=1)) / math.sqrt(len(results))
         half = float(student_t.ppf(0.975, len(results) - 1) * se)
     norms = [r.normalized_mrt for r in results]

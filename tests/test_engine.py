@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
-from dispatchsim.engine import run
-from dispatchsim.policies import RoundRobin, parse_policy
+from dispatchsim.engine import _run_rr, run
+from dispatchsim.policies import LeastWorkLeft, parse_policy
 from dispatchsim.workload import (
     ClusterConfig,
     JobSpec,
@@ -272,10 +274,148 @@ def test_infinite_theta_matches_single_stage_bit_for_bit():
 
 
 def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
+    # rr runs as a recursion that never calls choose(); lwl always dispatches
+    # through the event loop and its range guard
     wl = _wl([(0, 0.0, [1.0])])
-    monkeypatch.setattr(RoundRobin, "choose", lambda self, now, size: 5)
+    monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: 5)
     with pytest.raises(RuntimeError, match="outside stage"):
-        run(wl, _cfg(2, 1.0), _policy("rr"), seed=0)
+        run(wl, _cfg(2, 1.0), _policy("lwl"), seed=0)
+
+
+def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
+    # only the stage-1 instance (view offset n1 = 1) answers out of range
+    wl = _wl([(0, 0.0, [3.0])])
+    choose = LeastWorkLeft.choose
+    monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: (
+        5 if self.view.offset else choose(self, now, size)))
+    with pytest.raises(RuntimeError, match="outside stage of size 1"):
+        run(wl, _cfg(2, 1.0), _policy("two_stage:lwl", n1=1, theta=1.0), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Round robin: the per-server recursion against the event loop
+
+
+def _assert_same_log(a, b):
+    for name in ("completion", "completed_stage", "stage1_server", "stage2_server",
+                 "transfer_time", "served_work", "busy_integral"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert a.end_time == b.end_time
+    assert a.transfers == b.transfers
+
+
+@st.composite
+def _rr_cases(draw):
+    """A small multi-task workload (integer times and sizes, so arrivals,
+    completions and transfers tie, or continuous ones), an rr or
+    two_stage:rr policy with theta possibly equal to a task size or inf, and
+    optional max_jobs and horizon."""
+    quantized = draw(st.booleans())
+    jobs = draw(st.integers(min_value=1, max_value=40))
+    if quantized:
+        gaps = draw(st.lists(st.integers(0, 3), min_size=jobs, max_size=jobs))
+        size = st.integers(1, 8).map(float)
+        speed = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    else:
+        gaps = draw(st.lists(st.floats(0.0, 3.0), min_size=jobs, max_size=jobs))
+        size = st.floats(0.01, 8.0)
+        speed = draw(st.sampled_from([0.3, 1.0, 1.7]))
+    entries = []
+    t = 0.0
+    for jid, gap in enumerate(gaps):
+        t += gap
+        entries.append((jid, t, draw(st.lists(size, min_size=1, max_size=4))))
+    n = draw(st.integers(min_value=1, max_value=12))
+    kw = {}
+    label = "rr"
+    if n >= 2 and draw(st.booleans()):
+        label = "two_stage:rr"
+        sizes = [s for _, _, ss in entries for s in ss]
+        kw = {"n1": draw(st.integers(1, n - 1)),
+              "theta": draw(st.sampled_from(sizes + [math.inf, 0.5]))}
+    max_jobs = draw(st.none() | st.integers(1, jobs))
+    horizon = draw(st.none() | st.integers(0, int(t) + 20).map(float)
+                   | st.floats(0.0, t + 20.0))
+    return _wl(entries), _cfg(n, speed), _policy(label, **kw), max_jobs, horizon
+
+
+@given(_rr_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rr_recursion_matches_event_loop(case, seed):
+    wl, cfg, policy, max_jobs, horizon = case
+    fast = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
+    loop = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
+               debug_invariants=True)
+    _assert_same_log(fast, loop)
+
+
+def test_rr_recursion_runs_continuous_and_declines_tied_transfers():
+    cfg = ClusterConfig.synthetic(10, 0.8)
+    wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 2000, seed=4)
+    policy = _policy("two_stage:rr", n1=3, theta=1.0)
+    log = _run_rr(wl, cfg, policy, 4, None)
+    assert log is not None and log.transfers > 0
+    _assert_same_log(log, run(wl, cfg, policy, 4, debug_invariants=True))
+    # two size-3 tasks truncated at theta=1 on two stage-0 servers both
+    # transfer at t=1: calendar sequence numbers order them
+    tied = _wl([(0, 0.0, [3.0, 3.0])])
+    policy = _policy("two_stage:rr", n1=2, theta=1.0)
+    assert _run_rr(tied, _cfg(3, 1.0), policy, 0, None) is None
+    # a transfer reaching its stage-1 server exactly at its last completion
+    back = _wl([(0, 0.0, [1.0]), (1, 1.0, [1.0])])
+    assert _run_rr(back, _cfg(2, 1.0), _policy("two_stage:rr", n1=1, theta=0.5),
+                   0, None) is None
+
+
+def test_rr_arrival_at_a_completion_extends_the_busy_period():
+    # each job arrives exactly when the previous one completes: the server
+    # never idles, so its busy integral is one subtraction, not a sum of
+    # per-task pieces that round differently
+    sizes = np.random.default_rng(3).uniform(0.1, 1.0, 50).tolist()
+    entries, t = [], 0.1
+    for jid, size in enumerate(sizes):
+        entries.append((jid, t, [size]))
+        t = t + size / 0.7
+    wl = _wl(entries)
+    for horizon in (None, entries[30][1]):
+        log = run(wl, _cfg(1, 0.7), _policy("rr"), 0, horizon=horizon)
+        _assert_same_log(log, run(wl, _cfg(1, 0.7), _policy("rr"), 0, horizon=horizon,
+                                  debug_invariants=True))
+        assert log.busy_integral[0] == log.end_time - 0.1
+
+
+@pytest.mark.parametrize("label,kw", [("rr", {}), ("two_stage:rr", {"n1": 3, "theta": 2.0})])
+def test_rr_completions_match_prefix_sum_oracle(label, kw):
+    # c_k = max(a_k, c_{k-1}) + s_k unrolls to P_k + max_{j<=k}(a_j - P_{j-1})
+    # with P the running sum of service times on one server: vectorized,
+    # shares no code with the engine and rounds differently
+    cfg = ClusterConfig.synthetic(10, 0.8)
+    wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 20_000, seed=6)
+    log = run(wl, cfg, _policy(label, **kw), seed=6)
+    arrival, size, _ = wl.task_arrays()
+    n1, theta = kw.get("n1", cfg.n), kw.get("theta", math.inf)
+
+    def lindley(ready, work, count):
+        out = np.empty(len(ready))
+        for g in range(count):
+            svc = work[g::count] / cfg.mu
+            p = np.cumsum(svc)
+            prev = np.concatenate(([0.0], p[:-1]))
+            out[g::count] = p + np.maximum.accumulate(ready[g::count] - prev)
+        return out
+
+    first = lindley(arrival, np.minimum(size, theta), n1)
+    moved = size > theta
+    assert np.array_equal(log.stage1_server, np.arange(len(size)) % n1)
+    np.testing.assert_allclose(np.where(moved, log.transfer_time, log.completion), first,
+                               rtol=1e-9, atol=0)
+    order = np.argsort(first[moved], kind="stable")
+    assert np.array_equal(log.stage2_server[moved][order],
+                          n1 + np.arange(order.size) % (cfg.n - n1))
+    second = np.empty(order.size)
+    second[order] = lindley(first[moved][order], size[moved][order], cfg.n - n1)
+    np.testing.assert_allclose(log.completion[moved], second, rtol=1e-9, atol=0)
+    assert log.transfers == moved.sum() and np.all(log.completed_stage == 1 + moved)
 
 
 def test_task_log_round_trip(tmp_path):
