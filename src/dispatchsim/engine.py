@@ -31,17 +31,20 @@ policy kind. Tasks with s == theta complete at stage 0.
 
 Round robin. RR's choice is a counter, so stage-0 server g serves tasks g,
 g + n1, ... in dispatch order and stage-1 server n1 + h serves transfers h,
-h + (n - n1), ... in transfer order. `run` sends rr and two_stage:rr (unless
-`debug_invariants`) to a per-server FCFS recursion (Lindley, 1952):
-c = c + r/speed if a <= c else a + r/speed, the same float operations as the
-calendar. `<=` is exact because an arrival precedes a same-instant
-completion. It declines, and the calendar runs, when sequence numbers would
-order stage 1: two transfers at one instant, or a transfer reaching its
-server exactly at that server's previous completion.
+h + (n - n1), ... in transfer order. `run` sends rr and two_stage:rr to a
+per-server FCFS recursion (Lindley, 1952): c = c + r/speed if a <= c else
+a + r/speed, the same float operations as the calendar. `<=` is exact
+because an arrival precedes a same-instant completion. Transfers at one
+instant are ordered as their stage-0 services started (`_start_order`). The
+recursion declines, and the calendar runs, when a transfer reaches its
+stage-1 server exactly at that server's previous completion: the completion
+pops first there, which only splits the busy integral, but the recursion
+does not model it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -102,6 +105,7 @@ class TaskInstance:
     completed_stage: int  # 1 or 2; 0 if unfinished
 
 
+@dataclass(eq=False)
 class CompletionLog:
     """Raw per-task outcome of one run plus per-server counters.
 
@@ -110,35 +114,19 @@ class CompletionLog:
     NaN completion times and stage 0.
     """
 
-    def __init__(
-        self,
-        workload: Workload,
-        config: ClusterConfig,
-        policy: PolicySpec,
-        seed: int,
-        completion: np.ndarray,
-        completed_stage: np.ndarray,
-        stage1_server: np.ndarray,
-        stage2_server: np.ndarray,
-        transfer_time: np.ndarray,
-        served_work: np.ndarray,
-        busy_integral: np.ndarray,
-        end_time: float,
-        transfers: int,
-    ) -> None:
-        self.workload = workload
-        self.config = config
-        self.policy = policy
-        self.seed = seed
-        self.completion = completion
-        self.completed_stage = completed_stage
-        self.stage1_server = stage1_server
-        self.stage2_server = stage2_server
-        self.transfer_time = transfer_time
-        self.served_work = served_work
-        self.busy_integral = busy_integral
-        self.end_time = end_time
-        self.transfers = transfers
+    workload: Workload
+    config: ClusterConfig
+    policy: PolicySpec
+    seed: int
+    completion: np.ndarray
+    completed_stage: np.ndarray
+    stage1_server: np.ndarray
+    stage2_server: np.ndarray
+    transfer_time: np.ndarray
+    served_work: np.ndarray
+    busy_integral: np.ndarray
+    end_time: float
+    transfers: int
 
     @property
     def task_count(self) -> int:
@@ -255,6 +243,21 @@ def _rr_chains(arr: list, req: list, count: int, speed: float, stop: float):
     return done, servers
 
 
+def _start_order(arrival, done, count):
+    """Sort key of stage-0 dispatches in the order the calendar started their
+    services: by instant, arrivals (in dispatch order) before completions,
+    and starts at same-instant completions as those completions' starts."""
+    def start(k):
+        p = k - count  # the previous dispatch on the same server
+        return (arrival[k], 0) if p < 0 or arrival[k] > done[p] else (done[p], 1)
+
+    def cmp(i, j):
+        while (si := start(i)) == (sj := start(j)) and si[1]:
+            i, j = i - count, j - count
+        return (-1 if si < sj else 1) if si != sj else i - j
+    return functools.cmp_to_key(cmp)
+
+
 def _run_rr(workload, config, policy, seed, horizon) -> CompletionLog | None:
     """`run` for rr and two_stage:rr: one `_rr_chains` per stage, or None
     where it declines (see "Round robin" above)."""
@@ -270,9 +273,10 @@ def _run_rr(workload, config, policy, seed, horizon) -> CompletionLog | None:
                                 n1, speed, stop)
     moved = np.flatnonzero((size > theta) & ~np.isnan(done0))
     moved = moved[np.argsort(done0[moved], kind="stable")]
-    at = done0[moved]  # transfer instants, in stage-1 dispatch order
-    if np.any(at[1:] == at[:-1]):
-        return None
+    at = done0[moved]  # transfer instants; stage-1 dispatch order once ties are sorted
+    edge = np.diff(np.concatenate(([False], at[1:] == at[:-1], [False])).view(np.int8))
+    for lo, hi in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1):
+        moved[lo:hi] = sorted(moved[lo:hi].tolist(), key=_start_order(task_arrival, done0, n1))
     count = n - n1
     done1, servers1 = _rr_chains(at.tolist(), task_size[moved].tolist(), count, speed, stop)
     if len(at) > count and np.any(at[count:] == done1[:-count]):
@@ -319,13 +323,13 @@ def run(
     (workload, config, policy, seed): reruns are bit-identical.
 
     `debug_invariants` re-derives every server's backlog by brute force after
-    each event and cross-checks each stage's policy state (slow; for tests);
-    it also sends rr through the calendar instead of the recursion.
+    each event and cross-checks each stage's policy state (slow; for tests).
+    The rr recursion keeps no backlog, so it has nothing to check.
     """
     policy.validate_for(config.n)
     if max_jobs is not None:
         workload = workload.truncated(max_jobs)
-    if policy.kind == "rr" and not debug_invariants:
+    if policy.kind == "rr":
         log = _run_rr(workload, config, policy, seed, horizon)
         if log is not None:
             return log

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispatchsim import engine
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
 from dispatchsim.engine import _run_rr, run
 from dispatchsim.policies import LeastWorkLeft, parse_policy
@@ -296,6 +298,12 @@ def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
 # Round robin: the per-server recursion against the event loop
 
 
+def _event_loop(*args, **kw):
+    """`run` with the rr recursion declining every input: the calendar."""
+    with mock.patch.object(engine, "_run_rr", lambda *a: None):
+        return run(*args, **kw)
+
+
 def _assert_same_log(a, b):
     for name in ("completion", "completed_stage", "stage1_server", "stage2_server",
                  "transfer_time", "served_work", "busy_integral"):
@@ -309,7 +317,8 @@ def _rr_cases(draw):
     """A small multi-task workload (integer times and sizes, so arrivals,
     completions and transfers tie, or continuous ones), an rr or
     two_stage:rr policy with theta possibly equal to a task size or inf, and
-    optional max_jobs and horizon."""
+    optional max_jobs and horizon. A size of 1e-300 takes no time once added
+    to a positive instant, so zero-length services tie with their start."""
     quantized = draw(st.booleans())
     jobs = draw(st.integers(min_value=1, max_value=40))
     if quantized:
@@ -324,7 +333,8 @@ def _rr_cases(draw):
     t = 0.0
     for jid, gap in enumerate(gaps):
         t += gap
-        entries.append((jid, t, draw(st.lists(size, min_size=1, max_size=4))))
+        tasks = st.lists(size | size | size | st.just(1e-300), min_size=1, max_size=4)
+        entries.append((jid, t, draw(tasks)))
     n = draw(st.integers(min_value=1, max_value=12))
     kw = {}
     label = "rr"
@@ -344,27 +354,48 @@ def _rr_cases(draw):
 def test_rr_recursion_matches_event_loop(case, seed):
     wl, cfg, policy, max_jobs, horizon = case
     fast = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
-    loop = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
-               debug_invariants=True)
+    loop = _event_loop(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
+                       debug_invariants=True)
     _assert_same_log(fast, loop)
 
 
-def test_rr_recursion_runs_continuous_and_declines_tied_transfers():
+def test_rr_recursion_runs_continuous_and_declines_stage1_collisions():
     cfg = ClusterConfig.synthetic(10, 0.8)
     wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 2000, seed=4)
     policy = _policy("two_stage:rr", n1=3, theta=1.0)
     log = _run_rr(wl, cfg, policy, 4, None)
     assert log is not None and log.transfers > 0
-    _assert_same_log(log, run(wl, cfg, policy, 4, debug_invariants=True))
-    # two size-3 tasks truncated at theta=1 on two stage-0 servers both
-    # transfer at t=1: calendar sequence numbers order them
-    tied = _wl([(0, 0.0, [3.0, 3.0])])
-    policy = _policy("two_stage:rr", n1=2, theta=1.0)
-    assert _run_rr(tied, _cfg(3, 1.0), policy, 0, None) is None
+    _assert_same_log(log, _event_loop(wl, cfg, policy, 4))
     # a transfer reaching its stage-1 server exactly at its last completion
     back = _wl([(0, 0.0, [1.0]), (1, 1.0, [1.0])])
     assert _run_rr(back, _cfg(2, 1.0), _policy("two_stage:rr", n1=1, theta=0.5),
                    0, None) is None
+
+
+def test_rr_tied_transfers_pop_in_service_start_order():
+    policy = _policy("two_stage:rr", n1=2, theta=1.0)
+    # two size-3 tasks of one job start on arrival at idle servers and both
+    # transfer at t=1: dispatch order
+    tied = _wl([(0, 0.0, [3.0, 3.0])])
+    log = _run_rr(tied, _cfg(4, 1.0), policy, 0, None)
+    assert list(log.stage2_server) == [2, 3]
+    _assert_same_log(log, _event_loop(tied, _cfg(4, 1.0), policy, 0))
+    # tasks 4 and 5 both start at the t=3 completions and transfer at 5.5;
+    # task 3 (fresh at 1) started before task 2 (queued until 2), so its
+    # completion pops first and task 5 transfers before task 4
+    policy = _policy("two_stage:rr", n1=2, theta=2.5)
+    chained = _wl([(0, 0.0, [2.0, 0.5]), (1, 1.0, [1.0, 2.0]), (2, 1.5, [5.0, 5.0])])
+    log = _run_rr(chained, _cfg(4, 1.0), policy, 0, None)
+    assert list(log.transfer_time[4:]) == [5.5, 5.5]
+    assert list(log.stage2_server[4:]) == [3, 2]
+    _assert_same_log(log, _event_loop(chained, _cfg(4, 1.0), policy, 0))
+    # task 2 arrives at t=1 exactly as server 0 completes task 0, so it
+    # queues and starts at that completion, after task 3 starts on arrival
+    policy = _policy("two_stage:rr", n1=2, theta=1.0)
+    at_done = _wl([(0, 0.0, [1.0]), (1, 0.0, [0.5]), (2, 1.0, [3.0, 3.0])])
+    log = _run_rr(at_done, _cfg(4, 1.0), policy, 0, None)
+    assert list(log.stage2_server[2:]) == [3, 2]
+    _assert_same_log(log, _event_loop(at_done, _cfg(4, 1.0), policy, 0))
 
 
 def test_rr_arrival_at_a_completion_extends_the_busy_period():
@@ -379,8 +410,8 @@ def test_rr_arrival_at_a_completion_extends_the_busy_period():
     wl = _wl(entries)
     for horizon in (None, entries[30][1]):
         log = run(wl, _cfg(1, 0.7), _policy("rr"), 0, horizon=horizon)
-        _assert_same_log(log, run(wl, _cfg(1, 0.7), _policy("rr"), 0, horizon=horizon,
-                                  debug_invariants=True))
+        _assert_same_log(log, _event_loop(wl, _cfg(1, 0.7), _policy("rr"), 0,
+                                          horizon=horizon))
         assert log.busy_integral[0] == log.end_time - 0.1
 
 
