@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dispatchsim.analysis import EmpiricalDistribution, WeibullDistribution, card_thresholds
 from dispatchsim.cli import main
 from dispatchsim.engine import run
 from dispatchsim.policies import parse_policy
@@ -113,7 +114,8 @@ def test_simulate_outputs_match_golden_digests(tmp_path, capsys, label, n):
 
 ENGINE_CASES = {
     # (workload, label, horizon): quantized runs on 8 servers at load ~0.56,
-    # four of them stage 0 with theta=4 (sizes equal to theta stay there)
+    # four of them stage 0 with theta=4 (sizes equal to theta stay there);
+    # card's thresholds come from the workload's own size distribution
     ("quantized", "rr", None):
         "ee92e79a2452667883bdcbdb42b30edef5f2f7e654a9c3b7bd5ec6e74bdba5a5",
     ("quantized", "rr", 400.0):
@@ -126,6 +128,34 @@ ENGINE_CASES = {
         "fcaa26cc21ff9707a1ac2a35b3e9716170f59c37d384134859390452bc805e17",
     ("continuous", "two_stage:rr", 2000.0):
         "f529505112563f654ed32bc70a34ac8c70ccc625b403cf3aad0b37ac34bd3a77",
+    ("quantized", "jiq", None):
+        "5d6b618d2ecb546d193ad9e628ccc03783e9a192ab8cacc6b48592000ec1c136",
+    ("quantized", "jiq", 400.0):
+        "a162705810791baa882e91cbc8c99485721cb3031f45d418e23ac75fcdcef2ed",
+    ("quantized", "lwl", None):
+        "6cc3cba80eb4460d87b79c17dde7f668bc0265a8a601baa6f020b062efc2429e",
+    ("quantized", "lwl", 400.0):
+        "a03f3c90594675f8484be814d35c640632c5227bcd9cf285c2ee02cb3f34ea6d",
+    ("quantized", "card", None):
+        "02769c7cf2a32ffa4e5f1e949edfb47a1aac3a773478cf61cb7b86f7426827af",
+    ("quantized", "card", 400.0):
+        "11d9e54584d8b86cd07f3bea58358810a6c67b9838701a1ee7e4a24c6610c308",
+    ("quantized", "two_stage:jiq", None):
+        "e6e63cabe467aaf5199a2cddab994fdeeae8dcd6009f212c7975a18cef869de6",
+    ("quantized", "two_stage:jiq", 400.0):
+        "460839a772c123fae851c0fbb72b794133b7daafbbdcf5298a8d56228acc4832",
+    ("quantized", "two_stage:lwl", None):
+        "ab510a1e7b8b8db2fea0ac6454fd1656381ca4d9f4bf90a9b181b36fe6ced887",
+    ("quantized", "two_stage:lwl", 400.0):
+        "fc6245b5b7c0b5d360920bf01bda921831b3dbbc73719b6ed3ef9ad9ae19ec4a",
+    ("continuous", "jiq", 2000.0):
+        "ba9122fadc020e05c9f978f69ba1fa1bd3a6433b7233dfd0b30018d58a7d7250",
+    ("continuous", "lwl", 2000.0):
+        "ae62b0f2a609d0c008b6c0263f98d2043d7504259dc56f31ff9bd0d2e9786c93",
+    ("continuous", "card", 2000.0):
+        "c7f86b135d54c156f527f97bb1dc92f08076f91f800ba14b270c7bced7e04238",
+    ("continuous", "two_stage:lwl", 2000.0):
+        "8335329013afd4d331f5c69d25ff941afa2a65499ff555340b339b818bec241a",
 }
 
 
@@ -147,11 +177,16 @@ def _engine_digest(kind: str, label: str, horizon) -> str:
         wl = _quantized_workload()
         cfg = ClusterConfig.for_workload(8, 1.0, wl)
         n1, theta = 4, 4.0
+        dist = EmpiricalDistribution.from_workload(wl)
     else:
         cfg = ClusterConfig.synthetic(10, 0.8)
-        wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 3000, 3)
+        params = fit_weibull(1.0, 10.0)
+        wl = generate_poisson_weibull(cfg.arrival_rate, params, 3000, 3)
         n1, theta = 3, 2.0
+        dist = WeibullDistribution(params)
     kw = {"n1": n1, "theta": theta} if label.startswith("two_stage:") else {}
+    if label == "card":
+        kw["thresholds"] = card_thresholds(dist, cfg.n, cfg.target_rho)
     log = run(wl, cfg, parse_policy(label, **kw), seed=11, horizon=horizon)
     h = hashlib.sha256()
     for arr in (log.completion, log.completed_stage, log.stage1_server, log.stage2_server,
