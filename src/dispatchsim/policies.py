@@ -10,7 +10,9 @@ updates are visible to the next decision at the same instant.
 Policies draw tie-breaks from a dedicated per-stage stream, so policy choices
 never perturb workload randomness and stage-0 decisions are bit-identical
 between a single-stage system and a two-stage system whose second stage is
-never used.
+never used. JIQ and LWL draw their uniform indices through a `UniformIndex`
+buffer, which returns what `rng.integers(k)` would; CARD draws
+`rng.permutation` directly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CardThresholds
+from .randomness import UniformIndex
 
 POLICY_KINDS = ("rr", "jiq", "lwl", "card")
 
@@ -114,16 +117,17 @@ class JoinIdleQueue(DispatchPolicy):
 
     def bind(self, view: StageView, rng: np.random.Generator) -> None:
         super().bind(view, rng)
+        self._draw = UniformIndex(rng).draw
         self._idle = list(range(view.count))
         self._pos = list(range(view.count))  # server -> position in _idle, or -1
 
     def choose(self, now: float, size: float | None) -> int:
         k = len(self._idle)
         if k == 0:
-            return int(self.rng.integers(self.view.count))
+            return self._draw(self.view.count)
         if k == 1:
             return self._idle[0]
-        return self._idle[int(self.rng.integers(k))]
+        return self._idle[self._draw(k)]
 
     def on_assign(self, local: int, requirement: float) -> None:
         p = self._pos[local]
@@ -154,6 +158,10 @@ class LeastWorkLeft(DispatchPolicy):
     minimizers sit at zero backlog, so the idle case needs no special path.
     """
 
+    def bind(self, view: StageView, rng: np.random.Generator) -> None:
+        super().bind(view, rng)
+        self._draw = UniformIndex(rng).draw
+
     def choose(self, now: float, size: float | None) -> int:
         # unfinished_work's exact backlog expression, fused with the argmin
         view = self.view
@@ -171,7 +179,7 @@ class LeastWorkLeft(DispatchPolicy):
                 ties.append(j)
         if len(ties) == 1:
             return ties[0]
-        return ties[int(self.rng.integers(len(ties)))]
+        return ties[self._draw(len(ties))]
 
 
 class MultiBandCard(DispatchPolicy):

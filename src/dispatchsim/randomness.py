@@ -17,6 +17,8 @@ Spawn-key layout (arbitrary fixed tags, never reused across purposes):
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 _REPLICATION_TAG = 0x5EED
@@ -55,3 +57,41 @@ def policy_rng(seed: int, stage: int = 0) -> np.random.Generator:
         raise ValueError("stage must be 0 or 1")
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(_POLICY_TAG, int(stage)))
     return np.random.Generator(np.random.Philox(seq))
+
+
+class UniformIndex:
+    """Stream-exact buffered `rng.integers(k)` for 1 <= k < 2**32.
+
+    `draw(k)` returns exactly what `rng.integers(k)` would have returned on
+    the same generator, at a fraction of the per-call cost.
+    It reads 64-bit words from the bit generator in chunks and consumes each
+    as its low then its high 32-bit half (the order of the generator's own
+    32-bit draws), mapped to [0, k) by Lemire's multiply-and-reject method
+    (Lemire, ACM TOMACS 2019), as numpy does; k == 1 draws nothing. The
+    chunks are read ahead, so after the first call `rng` itself must not be
+    drawn from again.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, rng: np.random.Generator, chunk: int = 1024) -> None:
+        raw = rng.bit_generator.random_raw
+
+        def halves(count):
+            words = raw(count)
+            return np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel().tolist()
+        self._next = chain.from_iterable(map(halves, repeat(chunk))).__next__
+
+    def draw(self, k: int) -> int:
+        if k <= 1:
+            if k == 1:
+                return 0
+            raise ValueError(f"k must be >= 1, got {k}")
+        m = self._next() * k
+        if m & 0xFFFFFFFF < k:
+            if k > 0xFFFFFFFF:
+                raise ValueError(f"k must be < 2**32, got {k}")
+            floor = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < floor:
+                m = self._next() * k
+        return m >> 32

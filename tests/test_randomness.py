@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from dispatchsim.randomness import policy_rng, replication_seed, workload_rng
+from dispatchsim.randomness import UniformIndex, policy_rng, replication_seed, workload_rng
 
 
 def test_replication_seeds_distinct_and_deterministic():
@@ -37,3 +39,28 @@ def test_streams_are_reproducible():
 def test_policy_stage_must_be_binary():
     with pytest.raises(ValueError):
         policy_rng(1, 2)
+
+
+# k where Lemire's method redraws often (about half of the draws for
+# 2**31 + 1), the edges of the 32-bit range, and k == 1, which draws nothing
+_KS = (1, 2, 3, 7, 10, 100, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_uniform_index_matches_generator_integers(seed, chunk):
+    # 6000 mixed-k draws cross several refills of the read-ahead buffer
+    # (2 * chunk 32-bit draws each); the reference is a fresh generator
+    pick = random.Random(seed)
+    ks = [pick.choice(_KS) if pick.random() < 0.7 else pick.randrange(1, 2**32)
+          for _ in range(6000)]
+    draw = UniformIndex(policy_rng(seed, 0), chunk).draw
+    ref = policy_rng(seed, 0)
+    assert [draw(k) for k in ks] == [int(ref.integers(k)) for k in ks]
+
+
+def test_uniform_index_rejects_k_outside_32_bits():
+    draw = UniformIndex(policy_rng(0, 0)).draw
+    for k in (0, -3, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            draw(k)
