@@ -29,17 +29,22 @@ partial work is discarded and the task restarts from scratch, requiring the
 full s, on a stage-1 server chosen by an independent instance of the same
 policy kind. Tasks with s == theta complete at stage 0.
 
-Round robin. RR's choice is a counter, so stage-0 server g serves tasks g,
-g + n1, ... in dispatch order and stage-1 server n1 + h serves transfers h,
-h + (n - n1), ... in transfer order. `run` sends rr and two_stage:rr to a
-per-server FCFS recursion (Lindley, 1952): c = c + r/speed if a <= c else
-a + r/speed, the same float operations as the calendar. `<=` is exact
-because an arrival precedes a same-instant completion. Transfers at one
-instant are ordered as their stage-0 services started (`_start_order`). The
-recursion declines, and the calendar runs, when a transfer reaches its
-stage-1 server exactly at that server's previous completion: the completion
-pops first there, which only splits the busy integral, but the recursion
-does not model it.
+Calendar-free runs. rr, lwl and card (single- and two-stage) choose a
+server from `clear` alone, and a completion never changes `clear`. So each
+task's completion is fixed when it is dispatched, and `run` computes them in
+dispatch order with the FCFS recursion (Lindley, 1952) on the chosen server:
+c = c + r/speed if a <= c else a + r/speed, the calendar's float operations
+(`<=` because an arrival precedes a same-instant completion). rr takes its
+servers from a cycle; lwl and card call `choose` on a `StageView` of the
+recursion's own `clear`. Stage 1 dispatches the transfers in the calendar's
+pop order: by instant, ties as their stage-0 services started
+(`_start_order`). jiq stays on the calendar: its idle table changes when a
+server drains, so its choices depend on how completions interleave with
+dispatches. The recursion also declines, and the calendar runs, when a
+transfer reaches its stage-1 server exactly at that server's `clear`: the
+completion may pop first there, which splits the busy integral in two. Under
+a horizon, `clear` keeps chaining past it (lwl's backlog counts work that
+finishes later) and only completions at or before it are recorded.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import cycle, repeat
 from typing import Iterator
 
 import numpy as np
@@ -211,56 +217,55 @@ def _check_bookkeeping(servers, now: float, stage_policies) -> None:
         pol.check_state(busy[view.offset:view.offset + view.count])
 
 
-def _rr_chains(arr: list, req: list, count: int, speed: float, stop: float):
-    """FCFS recursion of `count` servers fed round robin: dispatch k, ready
-    at arr[k] with requirement req[k], goes to server k % count. Returns the
-    completion of each dispatch (NaN past `stop`) and, per server, (closed
-    busy integral, served work, open period start, first completion past
-    `stop` or inf, last completion)."""
-    done = np.full(len(arr), math.nan)
-    servers = []
-    for g in range(count):
-        c = since = b = w = 0.0
-        p = math.inf
-        out = []
-        push = out.append
-        for a, r in zip(arr[g::count], req[g::count]):
-            if a <= c:  # an arrival precedes a same-instant completion
-                c = c + r / speed
-            else:  # the previous busy period closed at c
-                b += c - since
-                since = a
-                c = a + r / speed
-            if c > stop:
-                p = c
-                break
-            w += r
-            push(c)
-        else:
-            b += c - since
-        done[g:g + count * len(out):count] = out
-        servers.append((b, w, since, p, c))
-    return done, servers
+def _fcfs(arr, req, picks, clear, busy, since, speed):
+    """FCFS recursion (Lindley, 1952) in dispatch order: dispatch k, ready at
+    arr[k] with requirement req[k], joins the k-th global server of `picks`
+    (a cycle for rr, or a lazy `map` over a policy's choices reading `clear`
+    as this loop writes it). Updates the per-server lists `clear`, `busy`
+    (closed busy periods) and `since` (open period start) in place and
+    returns each dispatch's completion."""
+    done = []
+    push = done.append
+    for a, r, g in zip(arr, req, picks):
+        c = clear[g]
+        if a <= c:  # an arrival precedes a same-instant completion
+            c += r / speed
+        else:  # the previous busy period closed at c
+            busy[g] += c - since[g]
+            since[g] = a
+            c = a + r / speed
+        clear[g] = c
+        push(c)
+    return np.array(done, dtype=np.float64)
 
 
-def _start_order(arrival, done, count):
+def _previous(where):
+    """Per dispatch, the index of the previous dispatch on its server, or -1."""
+    order = np.argsort(where, kind="stable")
+    prev = np.full(len(where), -1)
+    same = where[order[1:]] == where[order[:-1]]
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _start_order(arrival, done, prev):
     """Sort key of stage-0 dispatches in the order the calendar started their
     services: by instant, arrivals (in dispatch order) before completions,
     and starts at same-instant completions as those completions' starts."""
     def start(k):
-        p = k - count  # the previous dispatch on the same server
+        p = prev[k]
         return (arrival[k], 0) if p < 0 or arrival[k] > done[p] else (done[p], 1)
 
     def cmp(i, j):
         while (si := start(i)) == (sj := start(j)) and si[1]:
-            i, j = i - count, j - count
+            i, j = prev[i], prev[j]
         return (-1 if si < sj else 1) if si != sj else i - j
     return functools.cmp_to_key(cmp)
 
 
-def _run_rr(workload, config, policy, seed, horizon) -> CompletionLog | None:
-    """`run` for rr and two_stage:rr: one `_rr_chains` per stage, or None
-    where it declines (see "Round robin" above)."""
+def _run_fcfs(workload, config, policy, seed, horizon) -> CompletionLog | None:
+    """`run` without the calendar for every kind but jiq: one `_fcfs` per
+    stage, or None where it declines (see "Calendar-free runs" above)."""
     task_arrival, task_size, _task_job = workload.task_arrays()
     n, speed = config.n, float(config.mu)
     n1 = policy.n1 if policy.two_stage else n
@@ -268,41 +273,74 @@ def _run_rr(workload, config, policy, seed, horizon) -> CompletionLog | None:
     stop = math.inf if horizon is None else horizon
     T = len(task_size)
     D = int(np.searchsorted(task_arrival, stop, side="right"))  # dispatched
+    clear, busy, since = [0.0] * n, [0.0] * n, [0.0] * n
+
+    def stage(arr, sizes, req, offset, count, stream):
+        """One stage's completions and global servers, in dispatch order."""
+        if policy.kind == "rr":
+            picks = cycle(range(offset, offset + count))
+            done = _fcfs(arr, req.tolist(), picks, clear, busy, since, speed)
+            return done, offset + np.arange(len(arr)) % count
+        pol = build_policy(policy.kind, policy.thresholds)
+        pol.bind(StageView(clear, offset, count, speed), policy_rng(seed, stream))
+        choose, where = pol.choose, []
+
+        def pick(a, s):
+            j = choose(a, s)
+            if not 0 <= j < count:
+                raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
+            where.append(g := offset + j)
+            return g
+        sizes = sizes.tolist() if pol.needs_size else repeat(None)
+        done = _fcfs(arr, req.tolist(), map(pick, arr, sizes), clear, busy, since, speed)
+        return done, np.array(where, dtype=np.intp)
+
     size = task_size[:D]
-    done0, servers = _rr_chains(task_arrival[:D].tolist(), np.minimum(size, theta).tolist(),
-                                n1, speed, stop)
-    moved = np.flatnonzero((size > theta) & ~np.isnan(done0))
+    req = np.minimum(size, theta)
+    done0, where0 = stage(task_arrival[:D].tolist(), size, req, 0, n1, 0)
+    moved = np.flatnonzero((size > theta) & (done0 <= stop))
     moved = moved[np.argsort(done0[moved], kind="stable")]
     at = done0[moved]  # transfer instants; stage-1 dispatch order once ties are sorted
     edge = np.diff(np.concatenate(([False], at[1:] == at[:-1], [False])).view(np.int8))
-    for lo, hi in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1):
-        moved[lo:hi] = sorted(moved[lo:hi].tolist(), key=_start_order(task_arrival, done0, n1))
-    count = n - n1
-    done1, servers1 = _rr_chains(at.tolist(), task_size[moved].tolist(), count, speed, stop)
-    if len(at) > count and np.any(at[count:] == done1[:-count]):
-        return None
-    busy, work, since, pend, last = zip(*(servers + servers1))
-    late = [float(task_arrival[D])] if D < T else []
-    end_time = min(list(pend) + late)  # the first event past the horizon
+    if edge.any():
+        key = _start_order(task_arrival, done0, _previous(where0))
+        for lo, hi in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) + 1):
+            moved[lo:hi] = sorted(moved[lo:hi].tolist(), key=key)
+    done1, where1 = done0[:0], where0[:0]
+    if len(moved):
+        done1, where1 = stage(at.tolist(), task_size[moved], task_size[moved], n1, n - n1, 1)
+        prev = _previous(where1)
+        if np.any(at[prev >= 0] == done1[prev[prev >= 0]]):
+            return None  # a transfer reaches its server exactly at its clear instant
+
+    done = np.concatenate((done0, done1))
+    where = np.concatenate((where0, where1))
+    late = done > stop
+    pend = np.full(n, math.inf)
+    np.minimum.at(pend, where[late], done[late])
+    end_time = min(pend.min(), task_arrival[D] if D < T else math.inf)  # first event past stop
     if end_time == math.inf:  # drained: the last event is the last completion
-        end_time = max(last)
-    busy = [b if p == math.inf else b + (end_time - s) for b, s, p in zip(busy, since, pend)]
+        end_time = max(clear)
+    end_time = float(end_time)
+    busy = [b + ((end_time if p < math.inf else c) - s)
+            for b, s, p, c in zip(busy, since, pend.tolist(), clear)]
+    work = np.bincount(where, np.where(late, 0.0, np.concatenate((req, task_size[moved]))), n)
 
     completion = np.full(T, math.nan)
-    completion[:D] = done0
-    completion[moved] = done1
+    completion[:D] = np.where(done0 > stop, math.nan, done0)
+    completion[moved] = np.where(done1 > stop, math.nan, done1)
     completed_stage = np.zeros(T, dtype=np.int8)
-    completed_stage[:D] = ~np.isnan(done0)
-    completed_stage[moved] = np.where(np.isnan(done1), 0, 2)
+    completed_stage[:D] = done0 <= stop
+    completed_stage[moved] = np.where(done1 > stop, 0, 2)
     stage1_server = np.full(T, -1, dtype=np.int32)
-    stage1_server[:D] = np.arange(D) % n1
+    stage1_server[:D] = where0
     stage2_server = np.full(T, -1, dtype=np.int32)
-    stage2_server[moved] = n1 + np.arange(len(moved)) % count
+    stage2_server[moved] = where1
     transfer_time = np.full(T, math.nan)
     transfer_time[moved] = at
     return CompletionLog(
         workload, config, policy, seed, completion, completed_stage, stage1_server,
-        stage2_server, transfer_time, np.asarray(work), np.asarray(busy), end_time, len(moved))
+        stage2_server, transfer_time, work, np.asarray(busy), end_time, len(moved))
 
 
 def run(
@@ -329,8 +367,8 @@ def run(
     policy.validate_for(config.n)
     if max_jobs is not None:
         workload = workload.truncated(max_jobs)
-    if policy.kind == "rr":
-        log = _run_rr(workload, config, policy, seed, horizon)
+    if policy.kind != "jiq":
+        log = _run_fcfs(workload, config, policy, seed, horizon)
         if log is not None:
             return log
     task_arrival, task_size, _task_job = workload.task_arrays()

@@ -1,4 +1,5 @@
 import math
+from heapq import heappop, heappush
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim import engine
-from dispatchsim.analysis import WeibullDistribution, card_thresholds
-from dispatchsim.engine import _run_rr, run
-from dispatchsim.policies import LeastWorkLeft, parse_policy
+from dispatchsim.analysis import CardThresholds, WeibullDistribution, card_thresholds
+from dispatchsim.engine import _run_fcfs, run
+from dispatchsim.policies import JoinIdleQueue, LeastWorkLeft, parse_policy
 from dispatchsim.workload import (
     ClusterConfig,
     JobSpec,
@@ -276,8 +277,9 @@ def test_infinite_theta_matches_single_stage_bit_for_bit():
 
 
 def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
-    # rr runs as a recursion that never calls choose(); lwl always dispatches
-    # through the event loop and its range guard
+    # lwl runs as the calendar-free recursion, which calls choose() per
+    # dispatch and checks its answer; rr's precomputed servers never are out
+    # of range
     wl = _wl([(0, 0.0, [1.0])])
     monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: 5)
     with pytest.raises(RuntimeError, match="outside stage"):
@@ -285,7 +287,8 @@ def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
 
 
 def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
-    # only the stage-1 instance (view offset n1 = 1) answers out of range
+    # only the stage-1 instance (view offset n1 = 1) answers out of range;
+    # the recursion's stage-1 pass checks it
     wl = _wl([(0, 0.0, [3.0])])
     choose = LeastWorkLeft.choose
     monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: (
@@ -294,13 +297,32 @@ def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
         run(wl, _cfg(2, 1.0), _policy("two_stage:lwl", n1=1, theta=1.0), seed=0)
 
 
+def test_out_of_range_jiq_choice_is_an_engine_error(monkeypatch):
+    # jiq is the one kind left on the event loop, so it alone reaches the
+    # event loop's arrival guard
+    wl = _wl([(0, 0.0, [1.0])])
+    monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: -1)
+    with pytest.raises(RuntimeError, match="outside stage of size 2"):
+        run(wl, _cfg(2, 1.0), _policy("jiq"), seed=0)
+
+
+def test_out_of_range_jiq_stage1_choice_is_an_engine_error(monkeypatch):
+    # ... and its transfer guard
+    wl = _wl([(0, 0.0, [3.0])])
+    choose = JoinIdleQueue.choose
+    monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: (
+        1 if self.view.offset else choose(self, now, size)))
+    with pytest.raises(RuntimeError, match="outside stage of size 1"):
+        run(wl, _cfg(2, 1.0), _policy("two_stage:jiq", n1=1, theta=1.0), seed=0)
+
+
 # ---------------------------------------------------------------------------
-# Round robin: the per-server recursion against the event loop
+# Calendar-free runs: the FCFS recursion against the event loop
 
 
 def _event_loop(*args, **kw):
-    """`run` with the rr recursion declining every input: the calendar."""
-    with mock.patch.object(engine, "_run_rr", lambda *a: None):
+    """`run` with the recursion declining every input: the calendar."""
+    with mock.patch.object(engine, "_run_fcfs", lambda *a: None):
         return run(*args, **kw)
 
 
@@ -313,12 +335,13 @@ def _assert_same_log(a, b):
 
 
 @st.composite
-def _rr_cases(draw):
+def _recursion_cases(draw):
     """A small multi-task workload (integer times and sizes, so arrivals,
-    completions and transfers tie, or continuous ones), an rr or
-    two_stage:rr policy with theta possibly equal to a task size or inf, and
-    optional max_jobs and horizon. A size of 1e-300 takes no time once added
-    to a positive instant, so zero-length services tie with their start."""
+    completions and transfers tie, or continuous ones), a policy of every
+    kind the recursion runs (rr, lwl, card, two_stage:rr, two_stage:lwl)
+    with theta possibly equal to a task size or inf, and optional max_jobs
+    and horizon. A size of 1e-300 takes no time once added to a positive
+    instant, so zero-length services tie with their start."""
     quantized = draw(st.booleans())
     jobs = draw(st.integers(min_value=1, max_value=40))
     if quantized:
@@ -337,9 +360,14 @@ def _rr_cases(draw):
         entries.append((jid, t, draw(tasks)))
     n = draw(st.integers(min_value=1, max_value=12))
     kw = {}
-    label = "rr"
-    if n >= 2 and draw(st.booleans()):
-        label = "two_stage:rr"
+    label = draw(st.sampled_from(["rr", "lwl", "card"]))
+    if label == "card":
+        bound = st.floats(0.01, 9.0)
+        m = sorted(draw(st.lists(bound, min_size=n, max_size=n)))
+        kw = {"thresholds": CardThresholds(
+            m=tuple(m), c=tuple(draw(st.lists(bound, min_size=n - 1, max_size=n - 1))))}
+    elif n >= 2 and draw(st.booleans()):
+        label = "two_stage:" + label
         sizes = [s for _, _, ss in entries for s in ss]
         kw = {"n1": draw(st.integers(1, n - 1)),
               "theta": draw(st.sampled_from(sizes + [math.inf, 0.5]))}
@@ -349,9 +377,9 @@ def _rr_cases(draw):
     return _wl(entries), _cfg(n, speed), _policy(label, **kw), max_jobs, horizon
 
 
-@given(_rr_cases(), st.integers(0, 2**32 - 1))
+@given(_recursion_cases(), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_rr_recursion_matches_event_loop(case, seed):
+def test_recursion_matches_event_loop(case, seed):
     wl, cfg, policy, max_jobs, horizon = case
     fast = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
     loop = _event_loop(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
@@ -359,17 +387,18 @@ def test_rr_recursion_matches_event_loop(case, seed):
     _assert_same_log(fast, loop)
 
 
-def test_rr_recursion_runs_continuous_and_declines_stage1_collisions():
+@pytest.mark.parametrize("kind", ["rr", "lwl"])
+def test_recursion_runs_continuous_and_declines_stage1_collisions(kind):
     cfg = ClusterConfig.synthetic(10, 0.8)
     wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 2000, seed=4)
-    policy = _policy("two_stage:rr", n1=3, theta=1.0)
-    log = _run_rr(wl, cfg, policy, 4, None)
+    policy = _policy(f"two_stage:{kind}", n1=3, theta=1.0)
+    log = _run_fcfs(wl, cfg, policy, 4, None)
     assert log is not None and log.transfers > 0
     _assert_same_log(log, _event_loop(wl, cfg, policy, 4))
     # a transfer reaching its stage-1 server exactly at its last completion
     back = _wl([(0, 0.0, [1.0]), (1, 1.0, [1.0])])
-    assert _run_rr(back, _cfg(2, 1.0), _policy("two_stage:rr", n1=1, theta=0.5),
-                   0, None) is None
+    assert _run_fcfs(back, _cfg(2, 1.0), _policy(f"two_stage:{kind}", n1=1, theta=0.5),
+                     0, None) is None
 
 
 def test_rr_tied_transfers_pop_in_service_start_order():
@@ -377,7 +406,7 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # two size-3 tasks of one job start on arrival at idle servers and both
     # transfer at t=1: dispatch order
     tied = _wl([(0, 0.0, [3.0, 3.0])])
-    log = _run_rr(tied, _cfg(4, 1.0), policy, 0, None)
+    log = _run_fcfs(tied, _cfg(4, 1.0), policy, 0, None)
     assert list(log.stage2_server) == [2, 3]
     _assert_same_log(log, _event_loop(tied, _cfg(4, 1.0), policy, 0))
     # tasks 4 and 5 both start at the t=3 completions and transfer at 5.5;
@@ -385,7 +414,7 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # completion pops first and task 5 transfers before task 4
     policy = _policy("two_stage:rr", n1=2, theta=2.5)
     chained = _wl([(0, 0.0, [2.0, 0.5]), (1, 1.0, [1.0, 2.0]), (2, 1.5, [5.0, 5.0])])
-    log = _run_rr(chained, _cfg(4, 1.0), policy, 0, None)
+    log = _run_fcfs(chained, _cfg(4, 1.0), policy, 0, None)
     assert list(log.transfer_time[4:]) == [5.5, 5.5]
     assert list(log.stage2_server[4:]) == [3, 2]
     _assert_same_log(log, _event_loop(chained, _cfg(4, 1.0), policy, 0))
@@ -393,9 +422,28 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # queues and starts at that completion, after task 3 starts on arrival
     policy = _policy("two_stage:rr", n1=2, theta=1.0)
     at_done = _wl([(0, 0.0, [1.0]), (1, 0.0, [0.5]), (2, 1.0, [3.0, 3.0])])
-    log = _run_rr(at_done, _cfg(4, 1.0), policy, 0, None)
+    log = _run_fcfs(at_done, _cfg(4, 1.0), policy, 0, None)
     assert list(log.stage2_server[2:]) == [3, 2]
     _assert_same_log(log, _event_loop(at_done, _cfg(4, 1.0), policy, 0))
+
+
+@pytest.mark.parametrize("kind", ["rr", "lwl"])
+def test_tied_transfers_of_multi_task_jobs_stay_on_the_recursion(kind):
+    # a job's tasks share its arrival instant, so those that start at once
+    # on idle stage-0 servers transfer together: about 270 of 800 transfers
+    # tie here, and each tied group must reach stage 1 in pop order
+    rng = np.random.default_rng(5)
+    arrivals = np.cumsum(rng.exponential(1.0, 400))
+    counts = rng.integers(1, 7, 400)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    wl = Workload(np.arange(400), arrivals, offsets, rng.weibull(0.5, offsets[-1]),
+                  np.concatenate([np.arange(c) for c in counts]), arrivals[-1], "multi")
+    cfg = ClusterConfig.for_workload(10, 0.8, wl)
+    policy = _policy(f"two_stage:{kind}", n1=4, theta=0.3)
+    log = _run_fcfs(wl, cfg, policy, 3, None)
+    at = log.transfer_time[log.stage2_server >= 0]
+    assert len(at) - len(np.unique(at)) > 200
+    _assert_same_log(log, _event_loop(wl, cfg, policy, 3))
 
 
 def test_rr_arrival_at_a_completion_extends_the_busy_period():
@@ -447,6 +495,42 @@ def test_rr_completions_match_prefix_sum_oracle(label, kw):
     second[order] = lindley(first[moved][order], size[moved][order], cfg.n - n1)
     np.testing.assert_allclose(log.completion[moved], second, rtol=1e-9, atol=0)
     assert log.transfers == moved.sum() and np.all(log.completed_stage == 1 + moved)
+
+
+def _central_queue(arrival, size, n, speed):
+    """Completions of the n-server central-queue FCFS system: each task
+    starts when the earliest server frees, c = max(a, free) + s/speed. None
+    if some dispatch sees an equal-product tie between distinct clear times,
+    where LWL may pick the later one and the systems part."""
+    free = [0.0] * n
+    out = []
+    for a, s in zip(arrival, size):
+        best = (free[0] - a) * speed
+        if best > 0.0 and len({c for c in free if (c - a) * speed == best}) > 1:
+            return None
+        c = max(a, heappop(free)) + s / speed
+        heappush(free, c)
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_lwl_completions_match_central_queue_oracle(n):
+    # LWL with exact backlogs sends each task to the server that frees
+    # earliest (Harchol-Balter, Crovella & Murta, JPDC 1999); the oracle
+    # keeps a heap of free instants and shares no code with the engine.
+    # Only completions are compared: idle-server ties pick any server.
+    cfg = ClusterConfig.synthetic(n, 0.8)
+    compared = 0
+    for seed in range(8):
+        wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 3000, seed)
+        arrival, size, _ = wl.task_arrays()
+        want = _central_queue(arrival.tolist(), size.tolist(), n, cfg.mu)
+        if want is None:
+            continue
+        compared += 1
+        assert np.array_equal(run(wl, cfg, _policy("lwl"), seed).completion, want)
+    assert compared >= 6
 
 
 def test_task_log_round_trip(tmp_path):
