@@ -21,7 +21,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .analysis import (
     CardThresholds,
@@ -138,6 +138,39 @@ class TraceSource:
         return None
 
 
+# JSON shape of each plan key: element type, whether it holds a list, and
+# whether it may be null
+_PLAN_SHAPES = {
+    "policies": (str, True, False),
+    "n_values": (int, True, False),
+    "rho_values": (float, True, False),
+    "cov_values": (float, True, False),
+    "trace": (str, False, True),
+    "jobs": (int, False, False),
+    "replications": (int, False, False),
+    "base_seed": (int, False, False),
+    "warmup_fraction": (float, False, False),
+    "mean_size": (float, False, False),
+    "total_capacity": (float, False, False),
+    "theta_quantiles": (float, True, False),
+    "n1_candidates": (int, True, True),
+}
+_JSON_TYPES = {str: ((str,), "a string"), int: ((int,), "an integer"),
+               float: ((int, float), "a number")}
+
+
+def _check_plan_value(key: str, value) -> None:
+    kind, is_list, nullable = _PLAN_SHAPES[key]
+    types, what = _JSON_TYPES[kind]
+    if value is None and nullable:
+        return
+    if is_list and not isinstance(value, list):
+        raise ValueError(f"plan key {key!r} must be a list, got {value!r}")
+    for item in value if is_list else [value]:
+        if isinstance(item, bool) or not isinstance(item, types):
+            raise ValueError(f"plan key {key!r} needs {what}, got {item!r}")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Declarative description of one sweep.
@@ -190,14 +223,16 @@ class SweepPlan:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("plan JSON must be an object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - set(_PLAN_SHAPES)
         if unknown:
             raise ValueError(f"unknown plan keys: {sorted(unknown)}")
-        for key in ("policies", "n_values", "rho_values", "cov_values",
-                    "theta_quantiles", "n1_candidates"):
-            if key in data and data[key] is not None:
-                data[key] = tuple(data[key])
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ValueError(f"plan is missing keys: {sorted(missing)}")
+        for key, value in data.items():
+            _check_plan_value(key, value)
+            if isinstance(value, list):
+                data[key] = tuple(value)
         return cls(**data)
 
     @classmethod

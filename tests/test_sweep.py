@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispatchsim.cli import main
 
 from dispatchsim.metrics import read_results_csv
 from dispatchsim.sweep import (
@@ -69,6 +77,56 @@ def test_plan_validation():
         _plan(trace="x.csv")  # both cov and trace
     with pytest.raises(ValueError):
         _plan(theta_quantiles=(0.0,))
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"policies": ["rr"]}', "n_values"),
+    ('{"policies": ["rr"], "n_values": [2], "rho_values": ["x"], "cov_values": [1]}',
+     "rho_values"),
+    ('{"policies": "rr", "n_values": [2], "rho_values": [0.5], "cov_values": [1]}',
+     "policies"),
+    ('{"policies": ["rr"], "n_values": [2.5], "rho_values": [0.5], "cov_values": [1]}',
+     "n_values"),
+    ('{"policies": ["rr"], "n_values": [2], "rho_values": [0.5], "cov_values": [1], '
+     '"jobs": true}', "jobs"),
+])
+def test_plan_json_shape_errors_name_the_key(text, key):
+    with pytest.raises(ValueError, match=key):
+        SweepPlan.from_json(text)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["rr", "lwl", "two_stage:rr", "card", "x.csv"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+_PLAN_KEYS = st.sampled_from(["policies", "n_values", "rho_values", "cov_values", "trace",
+                              "jobs", "replications", "base_seed", "warmup_fraction",
+                              "mean_size", "total_capacity", "theta_quantiles",
+                              "n1_candidates"]) | st.text(max_size=6)
+
+
+@given(st.dictionaries(_PLAN_KEYS, _JSON, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_any_json_object_parses_or_fails_with_a_message(data):
+    text = json.dumps(data)
+    try:
+        SweepPlan.from_json(text)
+    except ValueError:
+        pass
+    else:
+        return  # a valid plan; running it is out of scope here
+    fd, path = tempfile.mkstemp(suffix=".json")
+    err = io.StringIO()
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(err):
+            assert main(["sweep", "--plan", path]) == 1
+    finally:
+        os.unlink(path)
+    assert err.getvalue().startswith("error: ")
 
 
 def test_default_n1_candidates():
