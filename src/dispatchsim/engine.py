@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -224,7 +225,7 @@ def _fcfs(arr, req, picks, clear, busy, since, speed):
     as this loop writes it). Updates the per-server lists `clear`, `busy`
     (closed busy periods) and `since` (open period start) in place and
     returns each dispatch's completion."""
-    done = []
+    done = array("d")  # raw doubles: no float object kept per dispatch
     push = done.append
     for a, r, g in zip(arr, req, picks):
         c = clear[g]
@@ -236,7 +237,7 @@ def _fcfs(arr, req, picks, clear, busy, since, speed):
             c = a + r / speed
         clear[g] = c
         push(c)
-    return np.array(done, dtype=np.float64)
+    return np.frombuffer(done, dtype=np.float64)
 
 
 def _previous(where):

@@ -63,24 +63,24 @@ class UniformIndex:
     """Stream-exact buffered `rng.integers(k)` for 1 <= k < 2**32.
 
     `draw(k)` returns exactly what `rng.integers(k)` would have returned on
-    the same generator, at a fraction of the per-call cost.
-    It reads 64-bit words from the bit generator in chunks and consumes each
-    as its low then its high 32-bit half (the order of the generator's own
-    32-bit draws), mapped to [0, k) by Lemire's multiply-and-reject method
-    (Lemire, ACM TOMACS 2019), as numpy does; k == 1 draws nothing. The
-    chunks are read ahead, so after the first call `rng` itself must not be
-    drawn from again.
+    the same generator, at a fraction of the per-call cost. It reads 64-bit
+    words from the bit generator 1024 at a time and consumes each as its low
+    then its high 32-bit half (the order of the generator's own 32-bit
+    draws), mapped to [0, k) by Lemire's multiply-and-reject method (Lemire,
+    ACM TOMACS 2019), as numpy does; k == 1 draws nothing. The words are
+    read ahead, so after the first call `rng` itself must not be drawn from
+    again.
     """
 
     __slots__ = ("_next",)
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 1024) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         raw = rng.bit_generator.random_raw
 
         def halves(count):
             words = raw(count)
             return np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel().tolist()
-        self._next = chain.from_iterable(map(halves, repeat(chunk))).__next__
+        self._next = chain.from_iterable(map(halves, repeat(1024))).__next__
 
     def draw(self, k: int) -> int:
         if k <= 1:
