@@ -432,6 +432,8 @@ def optimize_two_stage(
     candidates = tuple(n1_candidates or default_n1_candidates(n))
     if not candidates:
         raise ValueError("no feasible n1 candidates")
+    if not theta_quantiles:
+        raise ValueError("no theta quantiles to search")
     for n1 in candidates:
         if not 1 <= n1 <= n - 1:
             raise ValueError(f"n1 candidate {n1} outside 1..{n - 1}")

@@ -303,6 +303,8 @@ def test_optimizer_validation():
         optimize_two_stage("rr", 1, 0.5, src)
     with pytest.raises(ValueError, match="outside"):
         optimize_two_stage("rr", 3, 0.5, src, n1_candidates=(3,))
+    with pytest.raises(ValueError, match="theta quantiles"):
+        optimize_two_stage("rr", 3, 0.5, src, theta_quantiles=())
 
 
 # ---------------------------------------------------------------------------
