@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -222,11 +221,9 @@ def _fcfs(arr, req, picks, clear, busy, since, speed):
     """FCFS recursion (Lindley, 1952) in dispatch order: dispatch k, ready at
     arr[k] with requirement req[k], joins the k-th global server of `picks`
     (a cycle for rr, or a lazy `map` over a policy's choices reading `clear`
-    as this loop writes it). Updates the per-server lists `clear`, `busy`
-    (closed busy periods) and `since` (open period start) in place and
-    returns each dispatch's completion."""
-    done = array("d")  # raw doubles: no float object kept per dispatch
-    push = done.append
+    as this loop writes it). Yields each dispatch's completion and updates
+    the per-server lists `clear`, `busy` (closed busy periods) and `since`
+    (open period start) in place."""
     for a, r, g in zip(arr, req, picks):
         c = clear[g]
         if a <= c:  # an arrival precedes a same-instant completion
@@ -236,8 +233,7 @@ def _fcfs(arr, req, picks, clear, busy, since, speed):
             since[g] = a
             c = a + r / speed
         clear[g] = c
-        push(c)
-    return np.frombuffer(done, dtype=np.float64)
+        yield c
 
 
 def _previous(where):
@@ -281,7 +277,7 @@ def _run_fcfs(workload, config, policy, seed, horizon) -> CompletionLog | None:
         if policy.kind == "rr":
             picks = cycle(range(offset, offset + count))
             done = _fcfs(arr, req.tolist(), picks, clear, busy, since, speed)
-            return done, offset + np.arange(len(arr)) % count
+            return np.fromiter(done, np.float64, len(arr)), offset + np.arange(len(arr)) % count
         pol = build_policy(policy.kind, policy.thresholds)
         pol.bind(StageView(clear, offset, count, speed), policy_rng(seed, stream))
         choose, where = pol.choose, []
@@ -294,7 +290,7 @@ def _run_fcfs(workload, config, policy, seed, horizon) -> CompletionLog | None:
             return g
         sizes = sizes.tolist() if pol.needs_size else repeat(None)
         done = _fcfs(arr, req.tolist(), map(pick, arr, sizes), clear, busy, since, speed)
-        return done, np.array(where, dtype=np.intp)
+        return np.fromiter(done, np.float64, len(arr)), np.array(where, dtype=np.intp)
 
     size = task_size[:D]
     req = np.minimum(size, theta)
@@ -363,7 +359,8 @@ def run(
 
     `debug_invariants` re-derives every server's backlog by brute force after
     each event and cross-checks each stage's policy state (slow; for tests).
-    The rr recursion keeps no backlog, so it has nothing to check.
+    The calendar-free recursion (every kind but jiq) keeps no queues, so it
+    has nothing to check.
     """
     policy.validate_for(config.n)
     if max_jobs is not None:
