@@ -335,13 +335,13 @@ def _assert_same_log(a, b):
 
 
 @st.composite
-def _recursion_cases(draw):
+def _recursion_cases(draw, labels):
     """A small multi-task workload (integer times and sizes, so arrivals,
-    completions and transfers tie, or continuous ones), a policy of every
-    kind the recursion runs (rr, lwl, card, two_stage:rr, two_stage:lwl)
-    with theta possibly equal to a task size or inf, and optional max_jobs
-    and horizon. A size of 1e-300 takes no time once added to a positive
-    instant, so zero-length services tie with their start."""
+    completions and transfers tie, or continuous ones), a policy with one of
+    `labels` (rr, lwl or card; rr and lwl also as two_stage) with theta
+    possibly equal to a task size or inf, and optional max_jobs and horizon.
+    A size of 1e-300 takes no time once added to a positive instant, so
+    zero-length services tie with their start."""
     quantized = draw(st.booleans())
     jobs = draw(st.integers(min_value=1, max_value=40))
     if quantized:
@@ -360,7 +360,7 @@ def _recursion_cases(draw):
         entries.append((jid, t, draw(tasks)))
     n = draw(st.integers(min_value=1, max_value=12))
     kw = {}
-    label = draw(st.sampled_from(["rr", "lwl", "card"]))
+    label = draw(st.sampled_from(labels))
     if label == "card":
         bound = st.floats(0.01, 9.0)
         m = sorted(draw(st.lists(bound, min_size=n, max_size=n)))
@@ -377,9 +377,7 @@ def _recursion_cases(draw):
     return _wl(entries), _cfg(n, speed), _policy(label, **kw), max_jobs, horizon
 
 
-@given(_recursion_cases(), st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_recursion_matches_event_loop(case, seed):
+def _check_against_event_loop(case, seed):
     wl, cfg, policy, max_jobs, horizon = case
     fast = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
     loop = _event_loop(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
@@ -387,8 +385,19 @@ def test_recursion_matches_event_loop(case, seed):
     _assert_same_log(fast, loop)
 
 
-@pytest.mark.parametrize("kind", ["rr", "lwl"])
-def test_recursion_runs_continuous_and_declines_stage1_collisions(kind):
+@given(_recursion_cases(["rr"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rr_recursion_matches_event_loop(case, seed):
+    _check_against_event_loop(case, seed)
+
+
+@given(_recursion_cases(["lwl", "card"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lwl_and_card_recursion_matches_event_loop(case, seed):
+    _check_against_event_loop(case, seed)
+
+
+def _check_continuous_and_stage1_collision(kind):
     cfg = ClusterConfig.synthetic(10, 0.8)
     wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 2000, seed=4)
     policy = _policy(f"two_stage:{kind}", n1=3, theta=1.0)
@@ -399,6 +408,14 @@ def test_recursion_runs_continuous_and_declines_stage1_collisions(kind):
     back = _wl([(0, 0.0, [1.0]), (1, 1.0, [1.0])])
     assert _run_fcfs(back, _cfg(2, 1.0), _policy(f"two_stage:{kind}", n1=1, theta=0.5),
                      0, None) is None
+
+
+def test_rr_recursion_runs_continuous_and_declines_stage1_collisions():
+    _check_continuous_and_stage1_collision("rr")
+
+
+def test_lwl_recursion_runs_continuous_and_declines_stage1_collisions():
+    _check_continuous_and_stage1_collision("lwl")
 
 
 def test_rr_tied_transfers_pop_in_service_start_order():
