@@ -29,6 +29,7 @@ from .metrics import (
     replicate_and_summarize,
     result_row,
     summarize_run,
+    summary_row,
     write_results_csv,
     write_results_json,
 )
@@ -202,12 +203,7 @@ def _cmd_simulate(args) -> int:
         return res
 
     summary = replicate_and_summarize(run_one, args.seed, args.replications)
-    rows = [result_row(r) for r in summary.results]
-    summary_row = result_row(
-        summary.results[0], ci_half_width=summary.ci_half_width, seed_override=args.seed
-    )
-    summary_row["mrt_seconds"] = summary.mean_mrt_seconds
-    summary_row["normalized_mrt"] = summary.mean_normalized_mrt
+    rows = [result_row(r) for r in summary.results] + [summary_row(summary, args.seed)]
     if args.out:
         echo = {
             "command": "simulate", "policy": args.policy, "n": args.n,
@@ -217,8 +213,8 @@ def _cmd_simulate(args) -> int:
             "theta": spec.theta, "n1": spec.n1, "mean": args.mean,
             "capacity": args.capacity,
         }
-        write_results_csv(f"{args.out}.csv", rows + [summary_row], echo)
-        write_results_json(f"{args.out}.json", rows + [summary_row], echo)
+        write_results_csv(f"{args.out}.csv", rows, echo)
+        write_results_json(f"{args.out}.json", rows, echo)
     pairs = [
         ("policy", spec.label),
         ("n", args.n),

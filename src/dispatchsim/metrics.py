@@ -196,12 +196,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def result_row(
-    result: RunResult,
-    ci_half_width: float | None = None,
-    seed_override: int | None = None,
-) -> dict:
-    """One schema row from a RunResult (per-replication or summary)."""
+def result_row(result: RunResult, ci_half_width: float | None = None) -> dict:
+    """One schema row from a RunResult."""
     cfg = result.config
     return {
         "policy": result.policy,
@@ -210,10 +206,21 @@ def result_row(
         "theta": result.theta,
         "n1": result.n1,
         "cov": result.cov,
-        "seed": result.seed if seed_override is None else seed_override,
+        "seed": result.seed,
         "mrt_seconds": result.mrt_seconds,
         "normalized_mrt": result.normalized_mrt,
         "ci_half_width": ci_half_width,
+    }
+
+
+def summary_row(summary: ReplicationSummary, seed: int) -> dict:
+    """The schema row of a replication summary: the first replication's
+    configuration under the base `seed`, with the mean MRTs and the CI."""
+    return {
+        **result_row(summary.results[0], summary.ci_half_width),
+        "seed": seed,
+        "mrt_seconds": summary.mean_mrt_seconds,
+        "normalized_mrt": summary.mean_normalized_mrt,
     }
 
 

@@ -39,6 +39,7 @@ from .metrics import (
     result_row,
     summarize_replications,
     summarize_run,
+    summary_row,
     write_results_csv,
     write_results_json,
 )
@@ -272,13 +273,22 @@ def _single_stage_spec(label: str, dist: Distribution, n: int, rho: float) -> Po
     return PolicySpec(kind=label, thresholds=thresholds)
 
 
+def _replicate(source, config, spec, rho, jobs, base_seed, replications, warmup_fraction):
+    """Summary of `replications` runs of `spec` on the source's workloads."""
+    baseline = source.baseline()
+
+    def run_one(rep: int, rep_seed: int) -> RunResult:
+        log = run(source.workload(config.n, rho, jobs, rep_seed), config, spec, rep_seed)
+        return summarize_run(log, warmup_fraction=warmup_fraction, baseline=baseline,
+                             cov=source.cov_field)
+    return replicate_and_summarize(run_one, base_seed, replications)
+
+
 def _run_point(plan: SweepPlan, label: str, n: int, rho: float, cov: float | None,
                source=None) -> tuple[list[dict], list[dict]]:
     """All rows for one (policy, n, rho, cov/trace) point: per-replication
     rows (runs) and one aggregated row (summary)."""
     source = source or _source_for(plan, cov)
-    config = source.config(n, rho)
-    baseline = source.baseline()
     if label.startswith("two_stage:"):
         inner = label.split(":", 1)[1]
         optimum = optimize_two_stage(
@@ -291,34 +301,12 @@ def _run_point(plan: SweepPlan, label: str, n: int, rho: float, cov: float | Non
             warmup_fraction=plan.warmup_fraction,
         )
         runs = [result_row(r) for r in optimum.best_results]
-        summary = summarize_replications(optimum.best_results)
-        summary_row = result_row(
-            summary.results[0], ci_half_width=summary.ci_half_width,
-            seed_override=plan.base_seed,
-        )
-        summary_row["mrt_seconds"] = summary.mean_mrt_seconds
-        summary_row["normalized_mrt"] = summary.mean_normalized_mrt
-        return runs, [summary_row]
+        return runs, [summary_row(summarize_replications(optimum.best_results), plan.base_seed)]
 
     spec = _single_stage_spec(label, source.distribution(), n, rho)
-
-    def run_one(rep: int, rep_seed: int) -> RunResult:
-        wl = source.workload(n, rho, plan.jobs, rep_seed)
-        log = run(wl, config, spec, rep_seed)
-        return summarize_run(
-            log, warmup_fraction=plan.warmup_fraction,
-            baseline=baseline, cov=source.cov_field,
-        )
-
-    summary = replicate_and_summarize(run_one, plan.base_seed, plan.replications)
-    runs = [result_row(r) for r in summary.results]
-    summary_row = result_row(
-        summary.results[0], ci_half_width=summary.ci_half_width,
-        seed_override=plan.base_seed,
-    )
-    summary_row["mrt_seconds"] = summary.mean_mrt_seconds
-    summary_row["normalized_mrt"] = summary.mean_normalized_mrt
-    return runs, [summary_row]
+    summary = _replicate(source, source.config(n, rho), spec, rho, plan.jobs, plan.base_seed,
+                         plan.replications, plan.warmup_fraction)
+    return [result_row(r) for r in summary.results], [summary_row(summary, plan.base_seed)]
 
 
 def _point_worker(args):
@@ -439,8 +427,6 @@ def optimize_two_stage(
             raise ValueError(f"n1 candidate {n1} outside 1..{n - 1}")
     dist = source.distribution()
     config = source.config(n, rho)
-    baseline = source.baseline()
-    cov = source.cov_field
 
     pairs = [
         (q, dist.quantile(q), n1) for q in theta_quantiles for n1 in candidates
@@ -449,23 +435,9 @@ def optimize_two_stage(
     best = None  # (mrt, -theta, -n1, summary, q, theta, n1)
     for q, theta, n1 in pairs:
         spec = PolicySpec(kind=inner, two_stage=True, n1=n1, theta=theta)
-
-        def run_one(rep: int, rep_seed: int) -> RunResult:
-            wl = source.workload(n, rho, jobs, rep_seed)
-            log = run(wl, config, spec, rep_seed)
-            return summarize_run(
-                log, warmup_fraction=warmup_fraction, baseline=baseline, cov=cov,
-            )
-
-        summary = replicate_and_summarize(run_one, base_seed, replications)
-        row = result_row(
-            summary.results[0], ci_half_width=summary.ci_half_width,
-            seed_override=base_seed,
-        )
-        row["mrt_seconds"] = summary.mean_mrt_seconds
-        row["normalized_mrt"] = summary.mean_normalized_mrt
-        row["theta_quantile"] = q
-        table.append(row)
+        summary = _replicate(source, config, spec, rho, jobs, base_seed, replications,
+                             warmup_fraction)
+        table.append({**summary_row(summary, base_seed), "theta_quantile": q})
         key = (summary.mean_mrt_seconds, -theta, -n1)
         if best is None or key < best[0]:
             best = (key, summary, q, theta, n1)

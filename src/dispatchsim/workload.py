@@ -433,6 +433,17 @@ def _parse_trace_value(raw: str, kind, what: str, line_no: int):
         raise TraceFormatError(f"line {line_no}: malformed {what}: {raw!r}") from None
 
 
+def _not_utf8(path) -> str:
+    """Name the first line of `path` that does not decode as UTF-8."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {line_no}: not UTF-8 text (byte {exc.start + 1} of the line)"
+    return "not UTF-8 text"
+
+
 def ingest_trace(path) -> Workload:
     """Read a canonical trace CSV into a Workload.
 
@@ -442,82 +453,88 @@ def ingest_trace(path) -> Workload:
     but must agree on the job's arrival time. Jobs are stable-sorted by
     arrival; ties keep first-appearance order.
 
-    Raises TraceFormatError naming the offending line for: malformed fields,
-    non-positive sizes, negative arrival times, duplicate (job_id, task_index)
-    pairs, inconsistent arrival times within a job, a bad header, an empty
-    file, or a horizon override that does not cover the last arrival.
+    Raises TraceFormatError naming the offending line for: text that is not
+    UTF-8 or not CSV, malformed fields, ids outside int64, non-positive
+    sizes, negative arrival times, duplicate (job_id, task_index) pairs,
+    inconsistent arrival times within a job, a bad header, an empty file, or
+    a horizon override that is not finite or does not cover the last arrival.
     """
-    meta: dict[str, str] = {}
-    # job_id -> [arrival, first_line, [(task_index, size, row_no), ...]]
+    meta: dict[str, tuple[str, int]] = {}  # key -> (value, line)
+    # job_id -> [arrival, first_line, [(task_index, size), ...]]
     jobs: dict[int, list] = {}
     seen: set[tuple[int, int]] = set()
     header_seen = False
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].lstrip().startswith("#"):
-                if header_seen:
-                    raise TraceFormatError(f"line {line_no}: comment after header")
-                text = ",".join(row).lstrip().lstrip("#").strip()
-                if "=" in text:
-                    key, value = text.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if tuple(f.strip() for f in row) != TRACE_HEADER:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        try:
+            for line_no, row in enumerate(rows, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if row[0].lstrip().startswith("#"):
+                    if header_seen:
+                        raise TraceFormatError(f"line {line_no}: comment after header")
+                    text = ",".join(row).lstrip().lstrip("#").strip()
+                    if "=" in text:
+                        key, value = text.split("=", 1)
+                        meta[key.strip()] = (value.strip(), line_no)
+                    continue
+                if not header_seen:
+                    if tuple(f.strip() for f in row) != TRACE_HEADER:
+                        raise TraceFormatError(
+                            f"line {line_no}: expected header {','.join(TRACE_HEADER)!r}"
+                        )
+                    header_seen = True
+                    continue
+                if len(row) != 4:
+                    raise TraceFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
+                job_id = _parse_trace_value(row[0].strip(), int, "job_id", line_no)
+                arrival = _parse_trace_value(row[1].strip(), float, "arrival_time", line_no)
+                task_index = _parse_trace_value(row[2].strip(), int, "task_index", line_no)
+                if not (-2**63 <= job_id < 2**63 and -2**63 <= task_index < 2**63):
+                    what = "task_index" if -2**63 <= job_id < 2**63 else "job_id"
+                    raise TraceFormatError(f"line {line_no}: {what} is outside the int64 range")
+                size = _parse_trace_value(row[3].strip(), float, "size", line_no)
+                if not math.isfinite(arrival) or arrival < 0:
+                    raise TraceFormatError(f"line {line_no}: arrival_time must be >= 0 and finite")
+                if not math.isfinite(size) or size <= 0:
+                    raise TraceFormatError(f"line {line_no}: size must be > 0 and finite")
+                key = (job_id, task_index)
+                if key in seen:
                     raise TraceFormatError(
-                        f"line {line_no}: expected header {','.join(TRACE_HEADER)!r}"
+                        f"line {line_no}: duplicate task {task_index} for job {job_id}"
                     )
-                header_seen = True
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(f"line {line_no}: expected 4 fields, got {len(row)}")
-            job_id = _parse_trace_value(row[0].strip(), int, "job_id", line_no)
-            arrival = _parse_trace_value(row[1].strip(), float, "arrival_time", line_no)
-            task_index = _parse_trace_value(row[2].strip(), int, "task_index", line_no)
-            size = _parse_trace_value(row[3].strip(), float, "size", line_no)
-            if not math.isfinite(arrival) or arrival < 0:
-                raise TraceFormatError(f"line {line_no}: arrival_time must be >= 0 and finite")
-            if not math.isfinite(size) or size <= 0:
-                raise TraceFormatError(f"line {line_no}: size must be > 0 and finite")
-            key = (job_id, task_index)
-            if key in seen:
-                raise TraceFormatError(
-                    f"line {line_no}: duplicate task {task_index} for job {job_id}"
-                )
-            seen.add(key)
-            entry = jobs.get(job_id)
-            if entry is None:
-                jobs[job_id] = [arrival, line_no, [(task_index, size)]]
-            else:
-                if arrival != entry[0]:
-                    raise TraceFormatError(
-                        f"line {line_no}: job {job_id} arrival_time {arrival!r} "
-                        f"conflicts with {entry[0]!r} from line {entry[1]}"
-                    )
-                entry[2].append((task_index, size))
+                seen.add(key)
+                entry = jobs.get(job_id)
+                if entry is None:
+                    jobs[job_id] = [arrival, line_no, [(task_index, size)]]
+                else:
+                    if arrival != entry[0]:
+                        raise TraceFormatError(
+                            f"line {line_no}: job {job_id} arrival_time {arrival!r} "
+                            f"conflicts with {entry[0]!r} from line {entry[1]}"
+                        )
+                    entry[2].append((task_index, size))
+        except UnicodeDecodeError:
+            raise TraceFormatError(_not_utf8(path)) from None
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {rows.line_num}: {exc}") from None
     if not header_seen:
         raise TraceFormatError("line 1: missing header")
     if not jobs:
         raise TraceFormatError("trace contains no task rows")
 
-    specs = [
-        JobSpec(
-            job_id,
-            arrival,
-            tuple(TaskSpec(ti, sz) for ti, sz in tasks),
-        )
-        for job_id, (arrival, _line, tasks) in jobs.items()
-    ]
-    source = meta.get("source", "trace")
+    specs = [JobSpec(job_id, arrival, tuple(TaskSpec(ti, sz) for ti, sz in tasks))
+             for job_id, (arrival, _line, tasks) in jobs.items()]
+    source = meta.get("source", ("trace",))[0]
     horizon = None
     if "horizon" in meta:
-        horizon = _parse_trace_value(meta["horizon"], float, "horizon", 1)
-    try:
-        return Workload.from_jobs(specs, horizon=horizon, source=source)
-    except ValueError as exc:
-        raise TraceFormatError(str(exc)) from None
+        raw, line_no = meta["horizon"]
+        horizon = _parse_trace_value(raw, float, "horizon", line_no)
+        last = max(arrival for arrival, _line, _tasks in jobs.values())
+        if not math.isfinite(horizon) or horizon < last:
+            raise TraceFormatError(f"line {line_no}: horizon {horizon!r} must be finite "
+                                   f"and cover the last arrival {last!r}")
+    return Workload.from_jobs(specs, horizon=horizon, source=source)
 
 
 def write_trace_csv(workload: Workload, path) -> None:

@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_engine import run_reference
 
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
 from dispatchsim.cli import main as cli_main
@@ -266,11 +267,18 @@ def test_criterion_08_engine_invariants():
         "card": parse_policy("card", thresholds=card_thresholds(src.distribution(), n, rho)),
         "two_stage:lwl": parse_policy("two_stage:lwl", theta=src.distribution().quantile(0.9), n1=2),
     }
-    conserved = fcfs = lossless = True
+    conserved = fcfs = lossless = matched = True
+    task_arrival = wl.task_arrays()[0]
     for label, spec in specs.items():
-        # debug_invariants recomputes every server's backlog by brute force
-        # at each event and compares it to the tracked clear-time value
-        log = run(wl, config, spec, seed, debug_invariants=True)
+        log = run(wl, config, spec, seed)
+        # the event-calendar reference recomputes every server's backlog by
+        # brute force at each event and compares it to the tracked clear-time
+        # value; the engine's recursion must reproduce its arrays exactly
+        ref = run_reference(wl, config, spec, seed, check=True)
+        matched &= all(np.array_equal(getattr(log, f), getattr(ref, f), equal_nan=True) for f in (
+            "completion", "completed_stage", "stage1_server", "stage2_server",
+            "transfer_time", "served_work", "busy_integral"))
+        matched &= log.end_time == ref.end_time and log.transfers == ref.transfers
         lossless &= log.unfinished_tasks == 0 and np.isfinite(log.completion).all()
         expected = sum(
             min(sz, spec.theta) + (sz if sz > spec.theta else 0.0)
@@ -280,13 +288,15 @@ def test_criterion_08_engine_invariants():
         # completions on each server must come out in assignment order
         # (arrival order for stage 1, transfer order for stage 2)
         by_server = {}
-        for inst in log.iter_task_instances():
-            if inst.completed_stage == 2:
-                key = (inst.transfer_time, inst.completion_time)
-                by_server.setdefault(inst.stage2_server, []).append(key)
+        for stage, s1, s2, tt, arr, done in zip(
+            log.completed_stage.tolist(), log.stage1_server.tolist(),
+            log.stage2_server.tolist(), log.transfer_time.tolist(),
+            task_arrival.tolist(), log.completion.tolist(),
+        ):
+            if stage == 2:
+                by_server.setdefault(s2, []).append((tt, done))
             else:
-                key = (inst.arrival_time, inst.completion_time)
-                by_server.setdefault(inst.stage1_server, []).append(key)
+                by_server.setdefault(s1, []).append((arr, done))
         for entries in by_server.values():
             entries.sort(key=lambda e: e[0])
             comps = [c for _, c in entries]
@@ -294,7 +304,8 @@ def test_criterion_08_engine_invariants():
     checks.append((lossless, "no task loss across rr/jiq/lwl/card/two-stage"))
     checks.append((conserved, "served work equals offered work (incl. discarded prefixes)"))
     checks.append((fcfs, "per-server completions in FCFS order"))
-    checks.append((True, "clear-time bookkeeping matched brute-force recomputation"))
+    checks.append((matched, "clear-time bookkeeping matched brute-force recomputation "
+                            "(engine == event-calendar reference checked at every event)"))
 
     # theta=inf two-stage must reduce to the single-stage policy bit for bit
     identical = True

@@ -1,15 +1,14 @@
 import math
 from heapq import heappop, heappush
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engine import run_reference
 
-from dispatchsim import engine
 from dispatchsim.analysis import CardThresholds, WeibullDistribution, card_thresholds
-from dispatchsim.engine import _run_fcfs, run
+from dispatchsim.engine import run
 from dispatchsim.policies import JoinIdleQueue, LeastWorkLeft, parse_policy
 from dispatchsim.workload import (
     ClusterConfig,
@@ -99,12 +98,15 @@ def test_lwl_sees_pending_completion_as_zero_work():
 
 
 def _invariant_run(label, cov, n, seed=123, jobs=1000, **policy_kw):
+    # the run must equal the event-calendar reference, which re-derives every
+    # backlog and each stage's policy state by brute force after each event
     params = fit_weibull(1.0, cov)
     cfg = ClusterConfig.synthetic(n, 0.8)
     wl = generate_poisson_weibull(cfg.arrival_rate, params, jobs, seed)
     if label == "card":
         policy_kw["thresholds"] = card_thresholds(WeibullDistribution(params), n, 0.8)
-    log = run(wl, cfg, _policy(label, **policy_kw), seed, debug_invariants=True)
+    log = run(wl, cfg, _policy(label, **policy_kw), seed)
+    _assert_same_log(log, _event_loop(wl, cfg, _policy(label, **policy_kw), seed))
     return wl, log
 
 
@@ -144,12 +146,12 @@ def test_sojourn_positive_and_matches_response_definition():
     wl, log = _invariant_run("rr", 1.0, n=2)
     resp = log.job_responses()
     assert np.all(resp > 0)
-    # recompute a few responses by brute force from task instances
-    tasks = list(log.iter_task_instances())
+    # recompute a few responses by brute force from the per-task columns
+    task_job_id = wl.job_ids[wl.task_arrays()[2]]
     for i in (0, 7, 42):
         job = wl.job(i)
         mine = max(
-            t.completion_time for t in tasks if t.job_id == job.job_id
+            c for c, jid in zip(log.completion, task_job_id) if jid == job.job_id
         ) - job.arrival_time
         assert resp[i] == pytest.approx(mine, rel=0, abs=0)
 
@@ -236,8 +238,8 @@ def test_two_stage_short_tasks_never_transfer():
     cfg = ClusterConfig.synthetic(4, 0.6)
     wl = generate_poisson_weibull(cfg.arrival_rate, params, 3000, seed=2)
     theta = 5.0
-    log = run(wl, cfg, _policy("two_stage:jiq", n1=2, theta=theta), seed=2,
-              debug_invariants=True)
+    log = run(wl, cfg, _policy("two_stage:jiq", n1=2, theta=theta), seed=2)
+    _assert_same_log(log, _event_loop(wl, cfg, _policy("two_stage:jiq", n1=2, theta=theta), 2))
     _, t_size, _ = wl.task_arrays()
     moved = t_size > theta
     assert np.array_equal(log.stage2_server >= 0, moved)
@@ -277,9 +279,8 @@ def test_infinite_theta_matches_single_stage_bit_for_bit():
 
 
 def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
-    # lwl runs as the calendar-free recursion, which calls choose() per
-    # dispatch and checks its answer; rr's precomputed servers never are out
-    # of range
+    # the recursion calls choose() per dispatch and checks its answer; rr's
+    # precomputed servers never are out of range
     wl = _wl([(0, 0.0, [1.0])])
     monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: 5)
     with pytest.raises(RuntimeError, match="outside stage"):
@@ -298,8 +299,8 @@ def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
 
 
 def test_out_of_range_jiq_choice_is_an_engine_error(monkeypatch):
-    # jiq is the one kind left on the event loop, so it alone reaches the
-    # event loop's arrival guard
+    # jiq's own pick, which replays the drains before each choice, checks
+    # its answer too
     wl = _wl([(0, 0.0, [1.0])])
     monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: -1)
     with pytest.raises(RuntimeError, match="outside stage of size 2"):
@@ -307,7 +308,7 @@ def test_out_of_range_jiq_choice_is_an_engine_error(monkeypatch):
 
 
 def test_out_of_range_jiq_stage1_choice_is_an_engine_error(monkeypatch):
-    # ... and its transfer guard
+    # ... on stage 1 as well
     wl = _wl([(0, 0.0, [3.0])])
     choose = JoinIdleQueue.choose
     monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: (
@@ -317,13 +318,13 @@ def test_out_of_range_jiq_stage1_choice_is_an_engine_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Calendar-free runs: the FCFS recursion against the event loop
+# The FCFS recursion against the event-calendar reference
 
 
 def _event_loop(*args, **kw):
-    """`run` with the recursion declining every input: the calendar."""
-    with mock.patch.object(engine, "_run_fcfs", lambda *a: None):
-        return run(*args, **kw)
+    """The event-calendar reference (tests/reference_engine.py), with its
+    brute-force check after every event."""
+    return run_reference(*args, check=True, **kw)
 
 
 def _assert_same_log(a, b):
@@ -338,10 +339,11 @@ def _assert_same_log(a, b):
 def _recursion_cases(draw, labels):
     """A small multi-task workload (integer times and sizes, so arrivals,
     completions and transfers tie, or continuous ones), a policy with one of
-    `labels` (rr, lwl or card; rr and lwl also as two_stage) with theta
-    possibly equal to a task size or inf, and optional max_jobs and horizon.
-    A size of 1e-300 takes no time once added to a positive instant, so
-    zero-length services tie with their start."""
+    `labels` (rr, jiq, lwl or card; all but card also as two_stage) with
+    theta possibly equal to a task size or inf, and optional max_jobs and
+    horizon. Sizes of 1e-300 and 2e-300 take no time once added to a
+    positive instant, so zero-length services tie with their start; with
+    theta=1e-300 such a task also transfers at that instant."""
     quantized = draw(st.booleans())
     jobs = draw(st.integers(min_value=1, max_value=40))
     if quantized:
@@ -356,7 +358,8 @@ def _recursion_cases(draw, labels):
     t = 0.0
     for jid, gap in enumerate(gaps):
         t += gap
-        tasks = st.lists(size | size | size | st.just(1e-300), min_size=1, max_size=4)
+        tiny = st.sampled_from([1e-300, 2e-300])
+        tasks = st.lists(size | size | size | tiny, min_size=1, max_size=4)
         entries.append((jid, t, draw(tasks)))
     n = draw(st.integers(min_value=1, max_value=12))
     kw = {}
@@ -380,8 +383,7 @@ def _recursion_cases(draw, labels):
 def _check_against_event_loop(case, seed):
     wl, cfg, policy, max_jobs, horizon = case
     fast = run(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
-    loop = _event_loop(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon,
-                       debug_invariants=True)
+    loop = _event_loop(wl, cfg, policy, seed, max_jobs=max_jobs, horizon=horizon)
     _assert_same_log(fast, loop)
 
 
@@ -397,17 +399,42 @@ def test_lwl_and_card_recursion_matches_event_loop(case, seed):
     _check_against_event_loop(case, seed)
 
 
+@given(_recursion_cases(["jiq"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_jiq_recursion_matches_event_loop(case, seed):
+    _check_against_event_loop(case, seed)
+
+
+def test_two_stage_jiq_transfer_pops_before_a_zero_length_completion():
+    # theta=1e-300 truncates both tasks at t=1 with no time spent, so both
+    # transfer at t=1, task 0 first. Task 0's stage-1 service also takes no
+    # time, yet its completion was scheduled when its transfer popped, after
+    # task 1's transfer was scheduled: task 1's transfer pops first and finds
+    # task 0's server still busy. The plain rule "a completion at the
+    # transfer instant pops first" would pick between two idle servers.
+    wl = _wl([(0, 1.0, [2e-300, 5.0])])
+    policy = _policy("two_stage:jiq", n1=1, theta=1e-300)
+    for seed in range(40):
+        log = run(wl, _cfg(3, 1.0), policy, seed)
+        assert list(log.transfer_time) == [1.0, 1.0]
+        assert log.stage2_server[0] != log.stage2_server[1]
+        _assert_same_log(log, _event_loop(wl, _cfg(3, 1.0), policy, seed))
+
+
 def _check_continuous_and_stage1_collision(kind):
     cfg = ClusterConfig.synthetic(10, 0.8)
     wl = generate_poisson_weibull(cfg.arrival_rate, fit_weibull(1.0, 10.0), 2000, seed=4)
     policy = _policy(f"two_stage:{kind}", n1=3, theta=1.0)
-    log = _run_fcfs(wl, cfg, policy, 4, None)
-    assert log is not None and log.transfers > 0
+    log = run(wl, cfg, policy, 4)
+    assert log.transfers > 0
     _assert_same_log(log, _event_loop(wl, cfg, policy, 4))
-    # a transfer reaching its stage-1 server exactly at its last completion
+    # a transfer reaching its stage-1 server exactly at its last completion:
+    # the completion pops first, so the server's busy period splits in two
     back = _wl([(0, 0.0, [1.0]), (1, 1.0, [1.0])])
-    assert _run_fcfs(back, _cfg(2, 1.0), _policy(f"two_stage:{kind}", n1=1, theta=0.5),
-                     0, None) is None
+    policy = _policy(f"two_stage:{kind}", n1=1, theta=0.5)
+    log = run(back, _cfg(2, 1.0), policy, 0)
+    assert list(log.transfer_time) == [0.5, 1.5] and list(log.completion) == [1.5, 2.5]
+    _assert_same_log(log, _event_loop(back, _cfg(2, 1.0), policy, 0))
 
 
 def test_rr_recursion_runs_continuous_and_declines_stage1_collisions():
@@ -423,7 +450,7 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # two size-3 tasks of one job start on arrival at idle servers and both
     # transfer at t=1: dispatch order
     tied = _wl([(0, 0.0, [3.0, 3.0])])
-    log = _run_fcfs(tied, _cfg(4, 1.0), policy, 0, None)
+    log = run(tied, _cfg(4, 1.0), policy, 0)
     assert list(log.stage2_server) == [2, 3]
     _assert_same_log(log, _event_loop(tied, _cfg(4, 1.0), policy, 0))
     # tasks 4 and 5 both start at the t=3 completions and transfer at 5.5;
@@ -431,7 +458,7 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # completion pops first and task 5 transfers before task 4
     policy = _policy("two_stage:rr", n1=2, theta=2.5)
     chained = _wl([(0, 0.0, [2.0, 0.5]), (1, 1.0, [1.0, 2.0]), (2, 1.5, [5.0, 5.0])])
-    log = _run_fcfs(chained, _cfg(4, 1.0), policy, 0, None)
+    log = run(chained, _cfg(4, 1.0), policy, 0)
     assert list(log.transfer_time[4:]) == [5.5, 5.5]
     assert list(log.stage2_server[4:]) == [3, 2]
     _assert_same_log(log, _event_loop(chained, _cfg(4, 1.0), policy, 0))
@@ -439,7 +466,7 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     # queues and starts at that completion, after task 3 starts on arrival
     policy = _policy("two_stage:rr", n1=2, theta=1.0)
     at_done = _wl([(0, 0.0, [1.0]), (1, 0.0, [0.5]), (2, 1.0, [3.0, 3.0])])
-    log = _run_fcfs(at_done, _cfg(4, 1.0), policy, 0, None)
+    log = run(at_done, _cfg(4, 1.0), policy, 0)
     assert list(log.stage2_server[2:]) == [3, 2]
     _assert_same_log(log, _event_loop(at_done, _cfg(4, 1.0), policy, 0))
 
@@ -457,7 +484,7 @@ def test_tied_transfers_of_multi_task_jobs_stay_on_the_recursion(kind):
                   np.concatenate([np.arange(c) for c in counts]), arrivals[-1], "multi")
     cfg = ClusterConfig.for_workload(10, 0.8, wl)
     policy = _policy(f"two_stage:{kind}", n1=4, theta=0.3)
-    log = _run_fcfs(wl, cfg, policy, 3, None)
+    log = run(wl, cfg, policy, 3)
     at = log.transfer_time[log.stage2_server >= 0]
     assert len(at) - len(np.unique(at)) > 200
     _assert_same_log(log, _event_loop(wl, cfg, policy, 3))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dispatchsim.cli import main as cli_main
 from dispatchsim.workload import (
     ClusterConfig,
     JobSpec,
@@ -332,6 +335,83 @@ def test_ingest_honors_metadata(tmp_path):
     wl = ingest_trace(path)
     assert wl.source == "cluster-a"
     assert wl.horizon == 100.0
+
+
+HEADER = "job_id,arrival_time,task_index,size\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (HEADER + "9223372036854775808,1.0,0,1.0\n", "line 2: job_id"),
+    (HEADER + "1,1.0,0,1.0\n-9223372036854775809,1.0,0,1.0\n", "line 3: job_id"),
+    (HEADER + "1,1.0,9223372036854775808,1.0\n", "line 2: task_index"),
+    ("# horizon=nan\n" + HEADER + "1,1.0,0,1.0\n", "line 1: horizon"),
+    ("# source=x\n# horizon=inf\n" + HEADER + "1,1.0,0,1.0\n", "line 2: horizon"),
+    ("# source=x\n# horizon=0.5\n" + HEADER + "1,1.0,0,1.0\n", "line 2: horizon"),
+], ids=["job_id-above", "job_id-below", "task_index", "horizon-nan", "horizon-inf",
+        "horizon-short"])
+def test_ingest_names_the_line_of_out_of_range_values(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(TraceFormatError, match=message):
+        ingest_trace(path)
+
+
+def test_ingest_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(HEADER.encode() + b"1,1.0,0,1.0\n2,2.0,0,\xff\xfe\n")
+    with pytest.raises(TraceFormatError, match="line 3: not UTF-8"):
+        ingest_trace(path)
+
+
+def test_ingest_names_the_line_of_a_field_past_the_csv_limit(tmp_path):
+    # an unclosed quote swallows the rest of the file into one field
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + '1,"' + "x" * 200_000 + "\n")
+    with pytest.raises(TraceFormatError, match="line 2: field larger than field limit"):
+        ingest_trace(path)
+
+
+_EDGE = st.one_of(
+    st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63 - 1), "nan", "-inf", "1e999",
+                     "-0.0", "-1", "", " 1 ", '"1"', "#", "1_0"]),
+    st.integers(-2**70, 2**70).map(str), st.floats().map(repr), st.text(max_size=6),
+)
+_VALID = st.tuples(st.integers(0, 10**6).map(str), st.sampled_from(["0.5", "1.0", "2.0"]),
+                   st.sampled_from(["0", "1"]), st.sampled_from(["0.5", "1.0", "2.0"]))
+
+
+def _with_field(row, i, value):
+    return ",".join(row[:i] + (value,) + row[i + 1:])
+
+
+_MUTATED = st.builds(_with_field, _VALID, st.integers(0, 3), _EDGE)
+_ROW = st.one_of(_VALID.map(",".join), _MUTATED, _MUTATED, st.lists(_EDGE, max_size=6).map(",".join))
+_COMMENT = st.tuples(st.sampled_from(["horizon", "source", "x"]),
+                     st.sampled_from(["0.5", "3.0", "100.0"]) | _EDGE).map("# {0[0]}={0[1]}".format)
+_TRACE_TEXT = st.text() | st.builds(
+    lambda head, body: "\n".join(head + [HEADER.strip()] + body),
+    st.lists(_COMMENT, max_size=3), st.lists(_ROW, min_size=1, max_size=8))
+
+
+@given(_TRACE_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_ingest_fuzz_accepts_or_names_the_error(tmp_path_factory, text):
+    # any text either ingests or raises TraceFormatError; the CLI then prints
+    # one `error:` line and exits 1, never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        wl = ingest_trace(path)
+    except TraceFormatError:
+        ok = False
+    else:
+        ok = True
+        assert math.isfinite(wl.horizon) and wl.horizon >= wl.arrivals[-1]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli_main(["ingest-trace", "--trace", str(path)])
+    assert code == (0 if ok else 1)
+    assert ok or err.getvalue().startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
