@@ -7,14 +7,21 @@ L against the pinned values. Each engine case hashes every `CompletionLog`
 array plus `end_time` and `transfers` of one `run` on either a quantized
 multi-task workload (integer arrivals and sizes, speed 1, so arrivals,
 completions and transfers share instants) or a continuous one, drained or
-stopped at a horizon. A refactor that claims byte identity must leave this
-file unchanged; a change that moves a digest on purpose re-pins it and says
-why in CHANGES.md. Print the current digests with
+stopped at a horizon. The orchestration case runs `sweep` (synthetic and
+trace plans over all seven labels, at 1 and 2 workers), `optimize-two-stage`,
+`card-thresholds`, `ingest-trace` and trace-driven `simulate` from one working
+directory and hashes each command's stdout and files. A refactor that claims
+byte identity must leave this file unchanged; a change that moves a digest on
+purpose re-pins it and says why in CHANGES.md. Print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +32,13 @@ from dispatchsim.analysis import EmpiricalDistribution, WeibullDistribution, car
 from dispatchsim.cli import main
 from dispatchsim.engine import run
 from dispatchsim.policies import parse_policy
-from dispatchsim.workload import ClusterConfig, Workload, fit_weibull, generate_poisson_weibull
+from dispatchsim.workload import (
+    ClusterConfig,
+    Workload,
+    fit_weibull,
+    generate_poisson_weibull,
+    write_trace_csv,
+)
 
 LABELS = ("rr", "jiq", "lwl", "card", "two_stage:rr", "two_stage:lwl")
 SIZES = (10, 100)
@@ -201,6 +214,117 @@ def test_engine_outputs_match_golden_digests(case):
     assert _engine_digest(*case) == ENGINE_CASES[case]
 
 
+# Orchestration cases: each command runs from one working directory holding
+# trace.csv (a seeded multi-task trace) and the two sweep plans below, with
+# relative paths only, because result files echo the paths they were given.
+# The digest covers the command's stdout and then every file it writes.
+_ALL_LABELS = ["rr", "jiq", "lwl", "card", "two_stage:rr", "two_stage:jiq", "two_stage:lwl"]
+_PLANS = {
+    "synthetic.json": {"policies": _ALL_LABELS, "n_values": [4], "rho_values": [0.6],
+                       "cov_values": [2.0, 10.0], "jobs": 300, "replications": 2,
+                       "base_seed": 5, "theta_quantiles": [0.5, 0.9]},
+    "trace.json": {"policies": _ALL_LABELS, "n_values": [3, 4], "rho_values": [0.7],
+                   "trace": "trace.csv", "jobs": 250, "replications": 2, "base_seed": 6,
+                   "theta_quantiles": [0.5, 0.9], "n1_candidates": [1, 2]},
+}
+_SWEEP_FILES = ("_runs.csv", "_summary.csv", "_summary.json")
+ORCHESTRATION_CASES = {
+    # name: (argv, files written)
+    "sweep-synthetic-w1": ("sweep --plan synthetic.json --workers 1 --out ss1",
+                           [f"ss1{s}" for s in _SWEEP_FILES]),
+    "sweep-synthetic-w2": ("sweep --plan synthetic.json --workers 2 --out ss2",
+                           [f"ss2{s}" for s in _SWEEP_FILES]),
+    "sweep-synthetic-stdout": ("sweep --plan synthetic.json --workers 1", []),
+    "sweep-trace-w1": ("sweep --plan trace.json --workers 1 --out st1",
+                       [f"st1{s}" for s in _SWEEP_FILES]),
+    "sweep-trace-w2": ("sweep --plan trace.json --workers 2 --out st2",
+                       [f"st2{s}" for s in _SWEEP_FILES]),
+    "sweep-trace-figure": ("sweep --plan trace.json --workers 1 --figure n-curve "
+                           "--figure-out fig.csv", ["fig.csv"]),
+    "optimize-synthetic": ("optimize-two-stage --inner lwl --n 4 --rho 0.6 --cov 10 --jobs 300 "
+                           "--seed 3 --replications 2 --quantiles 0.5,0.9 --out opt_s",
+                           ["opt_s_table.csv", "opt_s_optimum.json"]),
+    "optimize-trace": ("optimize-two-stage --inner jiq --n 4 --rho 0.6 --trace trace.csv "
+                       "--jobs 250 --seed 3 --replications 2 --n1-candidates 1,3 --out opt_t",
+                       ["opt_t_table.csv", "opt_t_optimum.json"]),
+    "card-thresholds-cov": ("card-thresholds --n 5 --rho 0.7 --cov 10 --out card_c.json",
+                            ["card_c.json"]),
+    "card-thresholds-trace": ("card-thresholds --n 5 --rho 0.7 --trace trace.csv "
+                              "--out card_t.json", ["card_t.json"]),
+    "ingest-trace": ("ingest-trace --trace trace.csv --out canon.csv", ["canon.csv"]),
+    "simulate-trace-task-log": ("simulate --policy two_stage:lwl --n 4 --rho 0.6 "
+                                "--trace trace.csv --jobs 250 --seed 5 --replications 2 "
+                                "--theta-quantile 0.9 --n1 1 --out sim_tl --task-log tl.csv",
+                                ["sim_tl.csv", "sim_tl.json", "tl.csv"]),
+    "simulate-trace-rr-task-log": ("simulate --policy rr --n 3 --rho 0.7 --trace trace.csv "
+                                   "--seed 5 --out sim_rr --task-log rr.csv",
+                                   ["sim_rr.csv", "sim_rr.json", "rr.csv"]),
+    "simulate-trace-mu": ("simulate --policy card --n 4 --mu 0.5 --trace trace.csv --seed 5 "
+                          "--replications 2 --out sim_mu", ["sim_mu.csv", "sim_mu.json"]),
+    "simulate-synthetic-two-stage": ("simulate --policy two_stage:jiq --n 5 --rho 0.7 --cov 10 "
+                                     "--jobs 600 --seed 9 --replications 2 --theta 2.0 "
+                                     "--n1 2 --out sim_s", ["sim_s.csv", "sim_s.json"]),
+}
+
+GOLDEN_ORCHESTRATION = {
+    "sweep-synthetic-w1": "a0cec0b5877f90e9783235a059372ab4425e94d2b22cb19ec6b3f511b69cb691",
+    "sweep-synthetic-w2": "d92c99d06dec2ae65f1456bfade8aea4573866ec57391af338ba9e17aa05ab20",
+    "sweep-synthetic-stdout": "765df1e3fe20cd8fa1cf98f49b8a1b52f29cb34f98838a4279196cd211c19d9a",
+    "sweep-trace-w1": "def2e39b814f1d32a55219f59ea2064d03b72cd3a40f7d9e476c88d97ce76ac4",
+    "sweep-trace-w2": "49be6a2c57181df6d3c07a2f0a7535f07cbc226a3d6619800051072e7ea08a15",
+    "sweep-trace-figure": "a139257bf4dadb351cdf3f73b1898b80b77bbcb9f01819635ca5bd2e49beb2eb",
+    "optimize-synthetic": "7ae25e58498ce02592282afb9efdeec5ff9be51de3559327fa679f844440c936",
+    "optimize-trace": "7fcb07b2f46bf6d85884b893167b09557e5285ff0d6d9228f52e4ac37f6d9a22",
+    "card-thresholds-cov": "97dbec3e82ea2ed73a63ca7e7132ffd11353d9b9ea1c47d848735324ea00d09c",
+    "card-thresholds-trace": "dd50b6155799cf6e547141ac5f7612c2d3f5130113be7c80ed8125bb7b688a33",
+    "ingest-trace": "6339ca920d7a9e844058a65a3a739546e028f265998d45a8474bce5fae88720d",
+    "simulate-trace-task-log": "cb51b4fcf36c180314210e40a6e47d94042bcc3699b8cba09b9f038e079cd411",
+    "simulate-trace-rr-task-log": "709b0fe314607660692eaeb31501fcc8e3508d446f78e504ded1669d30996eeb",
+    "simulate-trace-mu": "9adb54362319aec7b7afb0f3c5d102279737fe8b7508ff57f876f6a4eaab751e",
+    "simulate-synthetic-two-stage": "810d15887135a7f6b01b8466cab0bbb135e71851e34c0ae69638f3f351afa6c2",
+}
+
+
+def _orchestration_inputs() -> None:
+    """Write trace.csv (300 jobs of 1-3 Weibull-sized tasks) and the plans
+    into the current directory."""
+    rng = np.random.default_rng(13)
+    jobs = 300
+    arrivals = np.cumsum(rng.exponential(1.0, jobs))
+    counts = rng.integers(1, 4, jobs)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    sizes = rng.weibull(0.5, int(offsets[-1])) * 0.5
+    indices = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+    write_trace_csv(Workload(np.arange(jobs, dtype=np.int64), arrivals, offsets, sizes, indices,
+                             float(arrivals[-1]), "golden"), "trace.csv")
+    for name, plan in _PLANS.items():
+        Path(name).write_text(json.dumps(plan))
+
+
+def _orchestration_digests(workdir: Path) -> dict:
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        _orchestration_inputs()
+        out = {}
+        for name, (argv, files) in ORCHESTRATION_CASES.items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv.split()) == 0, name
+            h = hashlib.sha256(stdout.getvalue().encode())
+            for path in files:
+                h.update(path.encode())
+                h.update(Path(path).read_bytes())
+            out[name] = h.hexdigest()
+        return out
+    finally:
+        os.chdir(cwd)
+
+
+def test_orchestration_outputs_match_golden_digests(tmp_path):
+    assert _orchestration_digests(tmp_path) == GOLDEN_ORCHESTRATION
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -211,3 +335,6 @@ if __name__ == "__main__":
             print(f"    ({label!r}, {n}): {got!r},", file=sys.stderr)
     for case in ENGINE_CASES:
         print(f"    {case!r}: {_engine_digest(*case)!r},", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as d:
+        for name, digest in _orchestration_digests(Path(d)).items():
+            print(f"    {name!r}: {digest!r},", file=sys.stderr)
