@@ -22,26 +22,23 @@ import json
 import sys
 
 from . import __version__
-from .analysis import EmpiricalDistribution, WeibullDistribution, card_thresholds
-from .engine import run
+from .analysis import EmpiricalDistribution, card_thresholds
 from .metrics import (
     DEFAULT_WARMUP_FRACTION,
-    replicate_and_summarize,
     result_row,
-    summarize_run,
     summary_row,
     write_results_csv,
     write_results_json,
 )
-from .policies import PolicySpec, parse_policy
+from .policies import PolicySpec, parse_label
 from .sweep import (
     DEFAULT_THETA_QUANTILES,
     RESULT_FIELDS_WITH_QUANTILE,
-    WORKERS_ENV,
     SweepPlan,
-    SyntheticSource,
-    TraceSource,
+    _replicate,
+    _single_stage_spec,
     default_n1_candidates,
+    make_source,
     optimize_two_stage,
     pivot_summary,
     run_sweep,
@@ -51,7 +48,6 @@ from .sweep import (
 from .workload import (
     ClusterConfig,
     TraceFormatError,
-    calibrate_mu,
     fit_weibull,
     generate_poisson_weibull,
     ingest_trace,
@@ -130,15 +126,8 @@ def _cmd_ingest_trace(args) -> int:
     return 0
 
 
-def _size_distribution(args):
-    """Size law from --cov (analytic) or --trace (empirical)."""
-    if args.trace is not None:
-        return EmpiricalDistribution.from_workload(ingest_trace(args.trace))
-    return WeibullDistribution(fit_weibull(args.mean, args.cov))
-
-
 def _cmd_card_thresholds(args) -> int:
-    dist = _size_distribution(args)
+    dist = make_source(args.cov, args.trace, mean_size=args.mean).distribution()
     th = card_thresholds(dist, args.n, args.rho)
     payload = {"n": args.n, "rho": args.rho, "m": list(th.m), "c": list(th.c)}
     text = json.dumps(payload, indent=2)
@@ -150,59 +139,34 @@ def _cmd_card_thresholds(args) -> int:
 
 
 def _simulate_spec(args, dist, n, rho) -> PolicySpec:
-    theta = None
-    if args.policy.startswith("two_stage:"):
+    kind, two_stage = parse_label(args.policy)
+    if two_stage:
         if (args.theta is None) == (args.theta_quantile is None):
             raise ValueError("two-stage policies need exactly one of --theta or --theta-quantile")
         if args.n1 is None:
             raise ValueError("two-stage policies need --n1")
         theta = args.theta if args.theta is not None else dist.quantile(args.theta_quantile)
-        return parse_policy(args.policy, n1=args.n1, theta=theta)
+        return PolicySpec(kind=kind, two_stage=True, n1=args.n1, theta=theta)
     if args.theta is not None or args.theta_quantile is not None or args.n1 is not None:
         raise ValueError("--theta/--theta-quantile/--n1 only apply to two_stage policies")
-    thresholds = card_thresholds(dist, n, rho) if args.policy == "card" else None
-    return parse_policy(args.policy, thresholds=thresholds)
+    return _single_stage_spec(kind, dist, n, rho)
 
 
 def _cmd_simulate(args) -> int:
-    if (args.cov is None) == (args.trace is None):
-        raise ValueError("exactly one of --cov or --trace must be given")
-    if args.trace is None:
-        if args.mu is not None:
-            raise ValueError("--mu only applies to trace-driven runs")
-        if args.rho is None:
-            raise ValueError("synthetic runs need --rho")
-        source = SyntheticSource(args.cov, args.mean, args.capacity)
+    source = make_source(args.cov, args.trace, args.jobs, args.mean, args.capacity)
+    if args.trace is None and args.mu is not None:
+        raise ValueError("--mu only applies to trace-driven runs")
+    if (args.mu is None) == (args.rho is None):
+        raise ValueError("runs need exactly one of --rho (target load) or --mu "
+                         "(explicit per-server speed, trace runs only)")
+    if args.mu is None:
         config = source.config(args.n, args.rho)
     else:
-        source = TraceSource.from_file(args.trace, args.jobs)
-        if (args.mu is None) == (args.rho is None):
-            raise ValueError(
-                "trace runs need exactly one of --rho (calibrate the speed) "
-                "or --mu (explicit speed)"
-            )
-        if args.mu is not None:
-            config = ClusterConfig.for_workload(
-                args.n, args.mu, source.workload(args.n, 0.0, args.jobs, 0)
-            )
-        else:
-            config = source.config(args.n, args.rho)
-    dist = source.distribution()
-    spec = _simulate_spec(args, dist, args.n, config.target_rho)
-    baseline = source.baseline()
-
-    def run_one(rep: int, rep_seed: int):
-        wl = source.workload(args.n, args.rho, args.jobs, rep_seed)
-        log = run(wl, config, spec, rep_seed)
-        res = summarize_run(
-            log, warmup_fraction=args.warmup,
-            baseline=baseline, cov=source.cov_field,
-        )
-        if args.task_log and rep == 0:
-            log.write_task_log(args.task_log)
-        return res
-
-    summary = replicate_and_summarize(run_one, args.seed, args.replications)
+        wl = source.workload(args.n, None, args.jobs, 0)
+        config = ClusterConfig.for_workload(args.n, args.mu, wl)
+    spec = _simulate_spec(args, source.distribution(), args.n, config.target_rho)
+    summary = _replicate(source, config, spec, args.rho, args.jobs, args.seed, args.replications,
+                         args.warmup, task_log=args.task_log)
     rows = [result_row(r) for r in summary.results] + [summary_row(summary, args.seed)]
     if args.out:
         echo = {
@@ -258,14 +222,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize_two_stage(args) -> int:
-    if (args.cov is None) == (args.trace is None):
-        raise ValueError("exactly one of --cov or --trace must be given")
-    if args.trace is None:
-        source = SyntheticSource(args.cov, args.mean, args.capacity)
-    else:
-        source = TraceSource.from_file(args.trace, args.jobs)
-    quantiles = tuple(args.quantiles) if args.quantiles else DEFAULT_THETA_QUANTILES
-    candidates = tuple(args.n1_candidates) if args.n1_candidates else None
+    source = make_source(args.cov, args.trace, args.jobs, args.mean, args.capacity)
+    quantiles = DEFAULT_THETA_QUANTILES if args.quantiles is None else tuple(args.quantiles)
+    candidates = None if args.n1_candidates is None else tuple(args.n1_candidates)
     opt = optimize_two_stage(
         args.inner, args.n, args.rho, source,
         theta_quantiles=quantiles,
@@ -275,6 +234,13 @@ def _cmd_optimize_two_stage(args) -> int:
         base_seed=args.seed,
         warmup_fraction=args.warmup,
     )
+    optimum = {
+        "inner": opt.inner, "n": opt.n, "rho": opt.rho,
+        "theta": opt.theta, "theta_quantile": opt.theta_quantile,
+        "n1": opt.n1, "mrt_seconds": opt.mean_mrt_seconds,
+        "normalized_mrt": opt.mean_normalized_mrt,
+        "ci_half_width": opt.ci_half_width,
+    }
     if args.out:
         echo = {
             "command": "optimize-two-stage", "inner": args.inner, "n": args.n,
@@ -291,28 +257,9 @@ def _cmd_optimize_two_stage(args) -> int:
             fields=RESULT_FIELDS_WITH_QUANTILE,
         )
         with open(f"{args.out}_optimum.json", "w") as fh:
-            json.dump({
-                "config": echo,
-                "optimum": {
-                    "inner": opt.inner, "n": opt.n, "rho": opt.rho,
-                    "theta": opt.theta, "theta_quantile": opt.theta_quantile,
-                    "n1": opt.n1, "mrt_seconds": opt.mean_mrt_seconds,
-                    "normalized_mrt": opt.mean_normalized_mrt,
-                    "ci_half_width": opt.ci_half_width,
-                },
-            }, fh, indent=2)
+            json.dump({"config": echo, "optimum": optimum}, fh, indent=2)
             fh.write("\n")
-    print(_kv([
-        ("inner", opt.inner),
-        ("n", opt.n),
-        ("rho", opt.rho),
-        ("theta", opt.theta),
-        ("theta_quantile", opt.theta_quantile),
-        ("n1", opt.n1),
-        ("mrt_seconds", opt.mean_mrt_seconds),
-        ("normalized_mrt", opt.mean_normalized_mrt),
-        ("ci_half_width", opt.ci_half_width),
-    ]))
+    print(_kv(optimum.items()))
     return 0
 
 
@@ -380,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="execute a sweep plan file")
     p.add_argument("--plan", required=True, help="JSON sweep plan")
     p.add_argument("--out", help="output prefix (runs/summary CSV + JSON)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"process pool size (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process pool size (default 1)")
     p.add_argument("--figure", choices=("rho-curve", "n-curve"),
                    help="pivot the summary into a figure-ready table")
     p.add_argument("--figure-out", help="path for the pivoted table")

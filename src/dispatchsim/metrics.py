@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import Distribution, mg1_mean_response
+from .analysis import Distribution, normalized_mrt
 from .engine import CompletionLog
 from .randomness import replication_seed
 from .workload import ClusterConfig
@@ -117,9 +117,8 @@ def summarize_run(
     mrt = float(finite.mean())
     norm = None
     if baseline is not None:
-        norm = mrt / mg1_mean_response(
-            baseline, log.config.arrival_rate, log.config.total_capacity
-        )
+        norm = normalized_mrt(mrt, baseline, log.config.arrival_rate,
+                              log.config.total_capacity)
     spec = log.policy
     return RunResult(
         policy=spec.label,

@@ -278,6 +278,20 @@ class PolicySpec:
             )
 
 
+def parse_label(text: str) -> tuple[str, bool]:
+    """Split a policy label like "rr", "card" or "two_stage:lwl" into
+    (kind, two_stage). Case and surrounding whitespace are ignored; an
+    unknown kind and "two_stage:card" raise ValueError."""
+    label = text.strip().lower()
+    two_stage = label.startswith("two_stage:")
+    kind = label[len("two_stage:"):] if two_stage else label
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy label {text!r}")
+    if two_stage and kind == "card":
+        raise ValueError("two-stage dispatch does not compose with card")
+    return kind, two_stage
+
+
 def parse_policy(
     text: str,
     *,
@@ -285,17 +299,14 @@ def parse_policy(
     theta: float | None = None,
     thresholds: CardThresholds | None = None,
 ) -> PolicySpec:
-    """Parse a policy label like "rr", "card", or "two_stage:lwl".
+    """Parse a policy label (see `parse_label`) into a PolicySpec.
 
     Two-stage parameters (n1, theta) and card thresholds are supplied
     separately since they are numbers/objects, not part of the label. theta
     may be math.inf, which makes stage 1 unreachable.
     """
-    text = text.strip().lower()
-    if text.startswith("two_stage:"):
-        inner = text[len("two_stage:"):]
-        return PolicySpec(kind=inner, two_stage=True, n1=n1, theta=theta, thresholds=thresholds)
-    return PolicySpec(kind=text, n1=n1, theta=theta, thresholds=thresholds)
+    kind, two_stage = parse_label(text)
+    return PolicySpec(kind=kind, two_stage=two_stage, n1=n1, theta=theta, thresholds=thresholds)
 
 
 def build_policy(spec_kind: str, thresholds: CardThresholds | None = None) -> DispatchPolicy:

@@ -11,20 +11,20 @@ Two-stage search evaluates a grid of theta quantiles x stage-0 sizes under
 the same paired workloads and returns the full grid plus the optimum; the
 optimum tie-breaks deterministically toward larger theta, then larger n1.
 
-Set DISPATCHSIM_WORKERS=k (or pass workers=k) to spread sweep points over a
-process pool; results are identical to the serial order.
+Every command evaluates its points through `make_source` and `_replicate`.
+Pass workers=k (`sweep --workers k`) to spread sweep points over a process
+pool; results are identical to the serial order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import repeat
 
 from .analysis import (
-    CardThresholds,
     Distribution,
     EmpiricalDistribution,
     WeibullDistribution,
@@ -43,7 +43,7 @@ from .metrics import (
     write_results_csv,
     write_results_json,
 )
-from .policies import POLICY_KINDS, PolicySpec
+from .policies import PolicySpec, parse_label
 from .workload import (
     ClusterConfig,
     Workload,
@@ -55,7 +55,6 @@ from .workload import (
 
 DEFAULT_THETA_QUANTILES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999)
 RESULT_FIELDS_WITH_QUANTILE = (*RESULT_FIELDS, "theta_quantile")
-WORKERS_ENV = "DISPATCHSIM_WORKERS"
 
 
 def default_n1_candidates(n: int) -> list[int]:
@@ -115,7 +114,7 @@ class TraceSource:
     """
 
     def __init__(self, workload: Workload, jobs: int | None = None) -> None:
-        self._workload = workload.truncated(jobs) if jobs else workload
+        self._workload = workload if jobs is None else workload.truncated(jobs)
         self._dist = EmpiricalDistribution.from_workload(self._workload)
 
     @classmethod
@@ -137,6 +136,19 @@ class TraceSource:
     @property
     def cov_field(self) -> float | None:
         return None
+
+
+def make_source(cov: float | None, trace, jobs: int | None = None, mean_size: float = 1.0,
+                total_capacity: float = 1.0) -> SyntheticSource | TraceSource:
+    """Weibull jobs of coefficient of variation `cov`, or the first `jobs`
+    jobs (None: all) of the trace file `trace`; exactly one of the two."""
+    if (cov is None) == (trace is None):
+        raise ValueError("exactly one of cov or trace must be given")
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if trace is not None:
+        return TraceSource.from_file(trace, jobs)
+    return SyntheticSource(cov, mean_size, total_capacity)
 
 
 # JSON shape of each plan key: element type, whether it holds a list, and
@@ -200,11 +212,7 @@ class SweepPlan:
         if not self.policies:
             raise ValueError("plan needs at least one policy")
         for label in self.policies:
-            kind = label.split(":", 1)[1] if label.startswith("two_stage:") else label
-            if kind not in POLICY_KINDS:
-                raise ValueError(f"unknown policy label {label!r}")
-            if label.startswith("two_stage:") and kind == "card":
-                raise ValueError("two-stage dispatch does not compose with card")
+            parse_label(label)
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be positive")
         if not self.rho_values or any(not 0 < r < 1 for r in self.rho_values):
@@ -262,39 +270,37 @@ class SweepPlan:
         return out
 
 
-def _source_for(plan: SweepPlan, cov: float | None):
-    if plan.trace is not None:
-        return TraceSource.from_file(plan.trace, plan.jobs)
-    return SyntheticSource(cov, plan.mean_size, plan.total_capacity)
+def _single_stage_spec(kind: str, dist: Distribution, n: int, rho: float) -> PolicySpec:
+    thresholds = card_thresholds(dist, n, rho) if kind == "card" else None
+    return PolicySpec(kind=kind, thresholds=thresholds)
 
 
-def _single_stage_spec(label: str, dist: Distribution, n: int, rho: float) -> PolicySpec:
-    thresholds = card_thresholds(dist, n, rho) if label == "card" else None
-    return PolicySpec(kind=label, thresholds=thresholds)
-
-
-def _replicate(source, config, spec, rho, jobs, base_seed, replications, warmup_fraction):
-    """Summary of `replications` runs of `spec` on the source's workloads."""
+def _replicate(source, config, spec, rho, jobs, base_seed, replications, warmup_fraction,
+               task_log=None):
+    """Summary of `replications` runs of `spec` on the source's workloads;
+    `task_log`, if given, receives the per-task log of replication 0."""
     baseline = source.baseline()
 
     def run_one(rep: int, rep_seed: int) -> RunResult:
         log = run(source.workload(config.n, rho, jobs, rep_seed), config, spec, rep_seed)
-        return summarize_run(log, warmup_fraction=warmup_fraction, baseline=baseline,
-                             cov=source.cov_field)
+        result = summarize_run(log, warmup_fraction=warmup_fraction, baseline=baseline,
+                               cov=source.cov_field)
+        if task_log and rep == 0:
+            log.write_task_log(task_log)
+        return result
     return replicate_and_summarize(run_one, base_seed, replications)
 
 
-def _run_point(plan: SweepPlan, label: str, n: int, rho: float, cov: float | None,
-               source=None) -> tuple[list[dict], list[dict]]:
-    """All rows for one (policy, n, rho, cov/trace) point: per-replication
-    rows (runs) and one aggregated row (summary)."""
-    source = source or _source_for(plan, cov)
-    if label.startswith("two_stage:"):
-        inner = label.split(":", 1)[1]
+def _run_point(plan: SweepPlan, label: str, n: int, rho: float,
+               source) -> tuple[list[dict], list[dict]]:
+    """All rows for one (policy, n, rho, source) point: per-replication rows
+    (runs) and one aggregated row (summary)."""
+    kind, two_stage = parse_label(label)
+    if two_stage:
         optimum = optimize_two_stage(
-            inner, n, rho, source,
+            kind, n, rho, source,
             theta_quantiles=plan.theta_quantiles,
-            n1_candidates=plan.n1_candidates or tuple(default_n1_candidates(n)),
+            n1_candidates=plan.n1_candidates,
             replications=plan.replications,
             jobs=plan.jobs,
             base_seed=plan.base_seed,
@@ -303,16 +309,10 @@ def _run_point(plan: SweepPlan, label: str, n: int, rho: float, cov: float | Non
         runs = [result_row(r) for r in optimum.best_results]
         return runs, [summary_row(summarize_replications(optimum.best_results), plan.base_seed)]
 
-    spec = _single_stage_spec(label, source.distribution(), n, rho)
+    spec = _single_stage_spec(kind, source.distribution(), n, rho)
     summary = _replicate(source, source.config(n, rho), spec, rho, plan.jobs, plan.base_seed,
                          plan.replications, plan.warmup_fraction)
     return [result_row(r) for r in summary.results], [summary_row(summary, plan.base_seed)]
-
-
-def _point_worker(args):
-    plan_json, label, n, rho, cov = args
-    plan = SweepPlan.from_json(plan_json)
-    return _run_point(plan, label, n, rho, cov)
 
 
 def _canonical_key(row: dict):
@@ -327,40 +327,28 @@ def _canonical_key(row: dict):
     )
 
 
-def run_sweep(plan: SweepPlan, workers: int | None = None) -> tuple[list[dict], list[dict]]:
+def run_sweep(plan: SweepPlan, workers: int = 1) -> tuple[list[dict], list[dict]]:
     """Execute a sweep; returns (per_replication_rows, summary_rows), both in
-    canonical order (rho, n, cov, policy, theta, n1, seed)."""
+    canonical order (rho, n, cov, policy, theta, n1, seed). Each cov's source
+    is built once and passed (pickled, in a pool) to every point."""
     covs: tuple = plan.cov_values if plan.trace is None else (None,)
+    sources = [make_source(cov, plan.trace, plan.jobs, plan.mean_size, plan.total_capacity)
+               for cov in covs]
     points = [
-        (label, n, rho, cov)
+        (label, n, rho, source)
         for rho in plan.rho_values
         for n in plan.n_values
-        for cov in covs
+        for source in sources
         for label in plan.policies
     ]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    run_rows: list[dict] = []
-    summary_rows: list[dict] = []
+    columns = (repeat(plan), *zip(*points))
     if workers > 1 and len(points) > 1:
-        plan_json = plan.to_json()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(
-                pool.map(_point_worker, [(plan_json, *p) for p in points])
-            )
+            outputs = list(pool.map(_run_point, *columns))
     else:
-        # serial path: reuse one source per (cov) and rely on workload
-        # regeneration being deterministic per (rho, rep)
-        sources = {cov: _source_for(plan, cov) for cov in covs}
-        outputs = [
-            _run_point(plan, label, n, rho, cov, source=sources[cov])
-            for (label, n, rho, cov) in points
-        ]
-    for runs, summaries in outputs:
-        run_rows.extend(runs)
-        summary_rows.extend(summaries)
-    run_rows.sort(key=_canonical_key)
-    summary_rows.sort(key=_canonical_key)
+        outputs = list(map(_run_point, *columns))
+    run_rows = sorted((row for runs, _ in outputs for row in runs), key=_canonical_key)
+    summary_rows = sorted((row for _, rows in outputs for row in rows), key=_canonical_key)
     return run_rows, summary_rows
 
 
@@ -417,7 +405,7 @@ def optimize_two_stage(
     """
     if n < 2:
         raise ValueError("two-stage search needs n >= 2")
-    candidates = tuple(n1_candidates or default_n1_candidates(n))
+    candidates = tuple(default_n1_candidates(n) if n1_candidates is None else n1_candidates)
     if not candidates:
         raise ValueError("no feasible n1 candidates")
     if not theta_quantiles:

@@ -121,6 +121,9 @@ class Workload:
             raise ValueError("task sizes must be > 0")
         if not np.isfinite(self.task_sizes).all() or not np.isfinite(self.arrivals).all():
             raise ValueError("arrivals and sizes must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.task_sizes.sum()):
+                raise ValueError("task sizes must sum to a finite total")
         if self.horizon < self.arrivals[-1]:
             raise ValueError("horizon must cover the last arrival")
 
@@ -534,7 +537,10 @@ def ingest_trace(path) -> Workload:
         if not math.isfinite(horizon) or horizon < last:
             raise TraceFormatError(f"line {line_no}: horizon {horizon!r} must be finite "
                                    f"and cover the last arrival {last!r}")
-    return Workload.from_jobs(specs, horizon=horizon, source=source)
+    try:
+        return Workload.from_jobs(specs, horizon=horizon, source=source)
+    except ValueError as exc:  # whole-trace checks, such as a finite total size
+        raise TraceFormatError(str(exc)) from None
 
 
 def write_trace_csv(workload: Workload, path) -> None:

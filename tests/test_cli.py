@@ -15,6 +15,19 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+def _small_trace(tmp_path, capsys):
+    trace = tmp_path / "w.csv"
+    assert _run(capsys, "gen-workload", "--jobs", "50", "--cov", "1", "--rho", "0.5",
+                "--seed", "2", "--out", str(trace))[0] == 0
+    return str(trace)
+
+
 def _parse_kv(line):
     out = {}
     for part in line.strip().split():
@@ -85,6 +98,14 @@ def test_gen_workload_is_byte_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sizes_summing_past_float64_are_an_error(tmp_path, capsys):
+    trace = tmp_path / "big.csv"
+    trace.write_text("job_id,arrival_time,task_index,size\n1,0.0,0,1e308\n2,1.0,0,1e308\n")
+    _assert_one_error_line(*_run(capsys, "ingest-trace", "--trace", str(trace)))
+    _assert_one_error_line(*_run(capsys, "simulate", "--trace", str(trace), "--policy", "rr",
+                                 "--n", "2", "--rho", "0.5", "--seed", "1"))
+
+
 def test_ingest_trace_reports_line_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("job_id,arrival_time,task_index,size\n1,0.0,0,-1\n")
@@ -109,6 +130,16 @@ def test_card_thresholds_json_matches_library(tmp_path, capsys):
     assert payload["m"] == list(th.m)
     assert payload["c"] == list(th.c)
     assert json.loads(out_file.read_text()) == payload
+
+
+def test_card_thresholds_needs_cov_or_trace(capsys):
+    _assert_one_error_line(*_run(capsys, "card-thresholds", "--n", "2", "--rho", "0.4"))
+
+
+def test_card_thresholds_rejects_both_cov_and_trace(tmp_path, capsys):
+    trace = _small_trace(tmp_path, capsys)
+    _assert_one_error_line(*_run(capsys, "card-thresholds", "--n", "2", "--rho", "0.4",
+                                 "--cov", "1", "--trace", trace))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +215,14 @@ def test_simulate_trace_with_mu_reproduces_synthetic_run(tmp_path, capsys):
     assert code == 0
     assert _parse_kv(out_syn)["mrt_seconds"] == _parse_kv(out_tr)["mrt_seconds"]
     assert "mrt_hours" in _parse_kv(out_tr)
+
+
+def test_simulate_trace_rejects_zero_jobs(tmp_path, capsys):
+    trace = _small_trace(tmp_path, capsys)
+    code, out, err = _run(capsys, "simulate", "--policy", "rr", "--n", "2", "--rho", "0.5",
+                          "--trace", trace, "--jobs", "0", "--seed", "1")
+    _assert_one_error_line(code, out, err)
+    assert "jobs" in err
 
 
 def test_simulate_flag_validation(tmp_path, capsys):
@@ -285,3 +324,14 @@ def test_optimize_two_stage_cli(tmp_path, capsys):
     assert len(data_rows) == 4
     optimum = json.loads((tmp_path / "opt_optimum.json").read_text())
     assert optimum["optimum"]["theta_quantile"] in (0.5, 0.9)
+
+
+def test_optimize_two_stage_rejects_empty_grids(capsys):
+    base = ["optimize-two-stage", "--inner", "rr", "--n", "3", "--rho", "0.5", "--cov", "2",
+            "--jobs", "200", "--seed", "4"]
+    code, out, err = _run(capsys, *base, "--quantiles", "")
+    _assert_one_error_line(code, out, err)
+    assert "theta quantiles" in err
+    code, out, err = _run(capsys, *base, "--n1-candidates", "")
+    _assert_one_error_line(code, out, err)
+    assert "n1 candidates" in err

@@ -16,6 +16,7 @@ from dispatchsim.policies import (
     RoundRobin,
     StageView,
     build_policy,
+    parse_label,
     parse_policy,
 )
 from dispatchsim.randomness import policy_rng
@@ -389,6 +390,18 @@ def test_parse_rejects_bad_specs():
     th = CardThresholds(m=(1.0,), c=())
     with pytest.raises(ValueError):
         parse_policy("rr", thresholds=th)
+
+
+def test_parse_label_splits_kind_and_stage():
+    assert parse_label("card") == ("card", False)
+    assert parse_label("two_stage:jiq") == ("jiq", True)
+    assert parse_label("  Two_Stage:LWL ") == ("lwl", True)
+    with pytest.raises(ValueError, match="unknown policy label"):
+        parse_label("two_stage:")
+    with pytest.raises(ValueError, match="unknown policy label"):
+        parse_label("rr:two_stage")
+    with pytest.raises(ValueError, match="does not compose with card"):
+        parse_label("two_stage:card")
 
 
 def test_validate_for_cluster():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispatchsim import sweep
 from dispatchsim.cli import main
 
 from dispatchsim.metrics import read_results_csv
@@ -18,6 +19,7 @@ from dispatchsim.sweep import (
     SyntheticSource,
     TraceSource,
     default_n1_candidates,
+    make_source,
     optimize_two_stage,
     pivot_summary,
     run_sweep,
@@ -129,6 +131,12 @@ def test_any_json_object_parses_or_fails_with_a_message(data):
     assert err.getvalue().startswith("error: ")
 
 
+def test_plan_labels_ignore_case_and_whitespace():
+    plan = _plan(policies=(" RR", "Two_Stage:RR "), jobs=800, theta_quantiles=(0.5,))
+    assert run_sweep(plan) == run_sweep(_plan(policies=("rr", "two_stage:rr"), jobs=800,
+                                              theta_quantiles=(0.5,)))
+
+
 def test_default_n1_candidates():
     assert default_n1_candidates(1) == []
     assert default_n1_candidates(2) == [1]
@@ -174,6 +182,33 @@ def test_run_sweep_is_deterministic():
 def test_run_sweep_parallel_matches_serial():
     plan = _plan(n_values=(2, 3))
     assert run_sweep(plan, workers=1) == run_sweep(plan, workers=2)
+
+
+def test_run_sweep_parallel_matches_serial_on_a_trace(tmp_path):
+    # the pool receives the ingested trace pickled instead of re-reading it
+    path, _ = _trace_file(tmp_path)
+    plan = SweepPlan(
+        policies=("card", "two_stage:jiq", "two_stage:lwl"), n_values=(2, 3),
+        rho_values=(0.6,), trace=str(path), jobs=40, replications=2, base_seed=1,
+        theta_quantiles=(0.5, 0.9),
+    )
+    serial = run_sweep(plan, workers=1)
+    assert serial == run_sweep(plan, workers=2)
+    assert {row["policy"] for row in serial[1]} == set(plan.policies)
+
+
+def test_serial_trace_sweep_ingests_the_trace_once(tmp_path, monkeypatch):
+    path, _ = _trace_file(tmp_path)
+    calls = []
+    ingest = sweep.ingest_trace
+    monkeypatch.setattr(sweep, "ingest_trace", lambda p: calls.append(p) or ingest(p))
+    plan = SweepPlan(
+        policies=("rr", "lwl", "two_stage:rr"), n_values=(2, 3), rho_values=(0.5, 0.7),
+        trace=str(path), jobs=40, replications=1, base_seed=1, theta_quantiles=(0.5,),
+    )
+    _, summaries = run_sweep(plan)
+    assert len(summaries) == 3 * 2 * 2
+    assert calls == [str(path)]
 
 
 def test_run_sweep_two_stage_label_emits_optimum_only():
@@ -241,6 +276,21 @@ def test_trace_source_fixed_workload_and_calibration(tmp_path):
     offered = wl.total_work / wl.horizon / cfg.total_capacity
     assert offered == pytest.approx(0.5, rel=1e-12)
     assert src.baseline() is None
+
+
+def test_make_source_picks_exactly_one_workload(tmp_path):
+    path, wl = _trace_file(tmp_path)
+    assert isinstance(make_source(2.0, None, 100), SyntheticSource)
+    src = make_source(None, path, 10)
+    assert isinstance(src, TraceSource)
+    assert src.workload(2, 0.5, 10, rep_seed=1) == wl.truncated(10)
+    assert make_source(None, path).workload(2, 0.5, 10, rep_seed=1) == wl
+    with pytest.raises(ValueError, match="exactly one"):
+        make_source(None, None, 10)
+    with pytest.raises(ValueError, match="exactly one"):
+        make_source(1.0, path, 10)
+    with pytest.raises(ValueError, match="jobs"):
+        make_source(1.0, None, 0)
 
 
 def test_trace_sweep_has_no_normalized_column(tmp_path):

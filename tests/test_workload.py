@@ -227,6 +227,17 @@ def test_workload_validation_errors():
         )
 
 
+def test_workload_rejects_sizes_summing_past_float64(tmp_path):
+    # each size is finite, but the total overflows to inf
+    ids, offs, idx = np.array([0, 1]), np.array([0, 1, 2]), np.array([0, 0])
+    with pytest.raises(ValueError, match="finite total"):
+        Workload(ids, np.array([0.0, 1.0]), offs, np.array([1e308, 1e308]), idx, 1.0, "x")
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + "1,0.0,0,1e308\n2,1.0,0,1e308\n")
+    with pytest.raises(TraceFormatError, match="finite total"):
+        ingest_trace(path)
+
+
 def test_task_spec_and_job_spec_validation():
     with pytest.raises(ValueError):
         TaskSpec(0, 0.0)
