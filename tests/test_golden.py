@@ -9,7 +9,8 @@ multi-task workload (integer arrivals and sizes, speed 1, so arrivals,
 completions and transfers share instants) or a continuous one, drained or
 stopped at a horizon. The orchestration case runs `sweep` (synthetic and
 trace plans over all seven labels, at 1 and 2 workers), `optimize-two-stage`,
-`card-thresholds`, `ingest-trace` and trace-driven `simulate` from one working
+`card-thresholds`, `ingest-trace` (also on a trace whose rows interleave
+jobs and whose arrivals tie) and trace-driven `simulate` from one working
 directory and hashes each command's stdout and files. A refactor that claims
 byte identity must leave this file unchanged; a change that moves a digest on
 purpose re-pins it and says why in CHANGES.md. Print the current digests with
@@ -252,6 +253,8 @@ ORCHESTRATION_CASES = {
     "card-thresholds-trace": ("card-thresholds --n 5 --rho 0.7 --trace trace.csv "
                               "--out card_t.json", ["card_t.json"]),
     "ingest-trace": ("ingest-trace --trace trace.csv --out canon.csv", ["canon.csv"]),
+    "ingest-trace-shuffled": ("ingest-trace --trace shuffled.csv --out canon2.csv",
+                              ["canon2.csv"]),
     "simulate-trace-task-log": ("simulate --policy two_stage:lwl --n 4 --rho 0.6 "
                                 "--trace trace.csv --jobs 250 --seed 5 --replications 2 "
                                 "--theta-quantile 0.9 --n1 1 --out sim_tl --task-log tl.csv",
@@ -278,6 +281,7 @@ GOLDEN_ORCHESTRATION = {
     "card-thresholds-cov": "97dbec3e82ea2ed73a63ca7e7132ffd11353d9b9ea1c47d848735324ea00d09c",
     "card-thresholds-trace": "dd50b6155799cf6e547141ac5f7612c2d3f5130113be7c80ed8125bb7b688a33",
     "ingest-trace": "6339ca920d7a9e844058a65a3a739546e028f265998d45a8474bce5fae88720d",
+    "ingest-trace-shuffled": "c2fb4420a5dc38ff94520526a0097be6c142f71c6b76d30eba4c22d351260b56",
     "simulate-trace-task-log": "cb51b4fcf36c180314210e40a6e47d94042bcc3699b8cba09b9f038e079cd411",
     "simulate-trace-rr-task-log": "709b0fe314607660692eaeb31501fcc8e3508d446f78e504ded1669d30996eeb",
     "simulate-trace-mu": "9adb54362319aec7b7afb0f3c5d102279737fe8b7508ff57f876f6a4eaab751e",
@@ -285,9 +289,32 @@ GOLDEN_ORCHESTRATION = {
 }
 
 
+def _shuffled_trace() -> None:
+    """Write shuffled.csv: 200 jobs of 1-4 tasks with non-sequential ids and
+    integer arrivals, so many jobs share an arrival, and the rows shuffled
+    within blocks of 12. A job's tasks then interleave with other jobs' rows,
+    jobs appear out of arrival order, and tied jobs appear out of id order."""
+    rng = np.random.default_rng(17)
+    jobs = 200
+    arrivals = np.floor(np.cumsum(rng.exponential(0.6, jobs)))
+    counts = rng.integers(1, 5, jobs)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    sizes = rng.weibull(0.5, int(offsets[-1])) * 0.5
+    indices = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
+    ids = rng.permutation(10 * jobs)[:jobs].astype(np.int64)
+    write_trace_csv(Workload(ids, arrivals, offsets, sizes, indices,
+                             float(arrivals[-1]) + 2.5, "shuffled"), "shuffled.csv")
+    lines = Path("shuffled.csv").read_text().splitlines(keepends=True)
+    rows = lines[3:]
+    for lo in range(0, len(rows), 12):
+        block = rows[lo:lo + 12]
+        rows[lo:lo + 12] = [block[i] for i in rng.permutation(len(block))]
+    Path("shuffled.csv").write_text("".join(lines[:3] + rows))
+
+
 def _orchestration_inputs() -> None:
-    """Write trace.csv (300 jobs of 1-3 Weibull-sized tasks) and the plans
-    into the current directory."""
+    """Write trace.csv (300 jobs of 1-3 Weibull-sized tasks), shuffled.csv
+    and the plans into the current directory."""
     rng = np.random.default_rng(13)
     jobs = 300
     arrivals = np.cumsum(rng.exponential(1.0, jobs))
@@ -297,6 +324,7 @@ def _orchestration_inputs() -> None:
     indices = np.concatenate([np.arange(c) for c in counts]).astype(np.int64)
     write_trace_csv(Workload(np.arange(jobs, dtype=np.int64), arrivals, offsets, sizes, indices,
                              float(arrivals[-1]), "golden"), "trace.csv")
+    _shuffled_trace()
     for name, plan in _PLANS.items():
         Path(name).write_text(json.dumps(plan))
 
