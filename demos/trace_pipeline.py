@@ -18,8 +18,6 @@ from dispatchsim.engine import run
 from dispatchsim.metrics import summarize_run
 from dispatchsim.policies import parse_policy
 from dispatchsim.workload import (
-    JobSpec,
-    TaskSpec,
     Workload,
     calibrate_mu,
     fit_weibull,
@@ -32,13 +30,9 @@ from dispatchsim.workload import (
 # every pair of consecutive jobs into one 2-task job so the
 # last-task-finishes rule actually matters
 base = generate_poisson_weibull(2.0, fit_weibull(1.0, 2.0), 3000, seed=5)
-jobs = [
-    JobSpec(j, float(base.arrivals[2 * j]),
-            (TaskSpec(0, float(base.task_sizes[2 * j])),
-             TaskSpec(1, float(base.task_sizes[2 * j + 1]))))
-    for j in range(base.job_count // 2)
-]
-trace = Workload.from_jobs(jobs, horizon=base.horizon, source="demo")
+pair = np.arange(base.job_count) // 2  # rows 2j and 2j+1 form job j
+trace = Workload.from_tasks(pair, base.arrivals[2 * pair], np.arange(base.job_count) % 2,
+                            base.task_sizes, horizon=base.horizon, source="demo")
 
 trace_path = Path(tempfile.mkdtemp()) / "demo_trace.csv"
 write_trace_csv(trace, trace_path)

@@ -2,8 +2,8 @@
 
 The package is organized around a small pipeline:
 
-    workload    synthetic M/G (Poisson/Weibull) generators, trace ingestion,
-                and cluster calibration
+    workload    the columnar job/task table, synthetic M/G (Poisson/Weibull)
+                generators, trace ingestion and writing, cluster calibration
     analysis    service-size distribution math: moments, quantiles, load
                 integrals, M/G/1 mean response, multi-band thresholds
     policies    dispatching policies (round robin, join-idle-queue,
@@ -36,15 +36,12 @@ from .metrics import (
 from .policies import PolicySpec, parse_policy
 from .workload import (
     ClusterConfig,
-    JobSpec,
-    TaskSpec,
     WeibullParams,
     Workload,
     calibrate_mu,
     fit_weibull,
     generate_poisson_weibull,
     ingest_trace,
-    sample_weibull,
     write_trace_csv,
 )
 
@@ -54,11 +51,9 @@ __all__ = [
     "CompletionLog",
     "Distribution",
     "EmpiricalDistribution",
-    "JobSpec",
     "PolicySpec",
     "ReplicationSummary",
     "RunResult",
-    "TaskSpec",
     "WeibullDistribution",
     "WeibullParams",
     "Workload",
@@ -71,7 +66,6 @@ __all__ = [
     "parse_policy",
     "replicate_and_summarize",
     "run",
-    "sample_weibull",
     "summarize_run",
     "write_trace_csv",
 ]

@@ -21,6 +21,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .analysis import EmpiricalDistribution, card_thresholds
 from .metrics import (
@@ -109,10 +111,7 @@ def _cmd_ingest_trace(args) -> int:
     if args.out:
         write_trace_csv(wl, args.out)
     dist = EmpiricalDistribution.from_workload(wl)
-    single = sum(
-        1 for i in range(wl.job_count)
-        if wl.task_offsets[i + 1] - wl.task_offsets[i] == 1
-    )
+    single = int(np.count_nonzero(np.diff(wl.task_offsets) == 1))
     print(_kv([
         ("jobs", wl.job_count),
         ("tasks", wl.task_count),

@@ -55,24 +55,6 @@ def warmup_job_count(job_count: int, warmup_fraction: float = DEFAULT_WARMUP_FRA
     return int(warmup_fraction * job_count)
 
 
-def job_response(arrival_time: float, completion_times) -> float:
-    """Response of one job: last task completion minus arrival.
-
-    Raises if any task is missing a completion time (unfinished jobs have no
-    response; callers decide whether to skip or fail).
-    """
-    latest = -math.inf
-    for c in completion_times:
-        if c is None or (isinstance(c, float) and math.isnan(c)):
-            raise ValueError("job has an unfinished task; no response time exists")
-        latest = max(latest, c)
-    if latest == -math.inf:
-        raise ValueError("job has no tasks")
-    if latest < arrival_time:
-        raise ValueError("completion precedes arrival")
-    return latest - arrival_time
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Aggregated outcome of one simulation run."""

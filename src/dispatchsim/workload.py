@@ -2,10 +2,10 @@
 
 A workload is a time-ordered list of jobs, each carrying one or more tasks
 with service-size requirements expressed in CPU-seconds on a unit-speed
-reference server. Internally jobs are stored columnar (flat numpy arrays plus
-a job->task offset table) so that workloads of 10^6..10^7 jobs stay cheap to
-build, slice, and feed to the simulator; `JobSpec`/`TaskSpec` views are
-materialized on demand.
+reference server. Jobs are stored only as columns (flat numpy arrays plus a
+job->task offset table) so that workloads of 10^6..10^7 jobs stay cheap to
+build, slice, and feed to the simulator; `Workload.from_tasks` groups
+per-task columns, in file order, into that layout.
 """
 
 from __future__ import annotations
@@ -25,37 +25,6 @@ TRACE_HEADER = ("job_id", "arrival_time", "task_index", "size")
 
 class TraceFormatError(ValueError):
     """A trace file violates the canonical format; message names the line."""
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One task: `size` is CPU-seconds on a unit-speed reference server."""
-
-    task_index: int
-    size: float
-
-    def __post_init__(self) -> None:
-        if not self.size > 0:
-            raise ValueError(f"task size must be > 0, got {self.size}")
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One job: all tasks arrive together at `arrival_time`."""
-
-    job_id: int
-    arrival_time: float
-    tasks: tuple[TaskSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tasks:
-            raise ValueError(f"job {self.job_id} has no tasks")
-        if self.arrival_time < 0:
-            raise ValueError(f"job {self.job_id} arrival time must be >= 0")
-
-    @property
-    def total_size(self) -> float:
-        return float(sum(t.size for t in self.tasks))
 
 
 class Workload:
@@ -121,32 +90,43 @@ class Workload:
             raise ValueError("task sizes must be > 0")
         if not np.isfinite(self.task_sizes).all() or not np.isfinite(self.arrivals).all():
             raise ValueError("arrivals and sizes must be finite")
+        # a finite sum of squares implies a finite total and finite moments
         with np.errstate(over="ignore"):
-            if not np.isfinite(self.task_sizes.sum()):
-                raise ValueError("task sizes must sum to a finite total")
+            if not np.isfinite(np.sum(self.task_sizes**2)):
+                raise ValueError("task sizes must have a finite total and second moment")
         if self.horizon < self.arrivals[-1]:
             raise ValueError("horizon must cover the last arrival")
 
     @classmethod
-    def from_jobs(cls, jobs, horizon: float | None = None, source: str = "synthetic") -> "Workload":
-        """Build a workload from JobSpec objects (stable-sorted by arrival)."""
-        jobs = sorted(jobs, key=lambda job: job.arrival_time)
-        if not jobs:
+    def from_tasks(cls, job_ids, arrivals, task_indices, sizes, horizon: float | None = None,
+                   source: str = "synthetic") -> "Workload":
+        """Group per-task columns, in file order, into jobs.
+
+        Rows with one job id form one job; its tasks keep their row order and
+        every row must carry the job's arrival. Jobs are stable-sorted by
+        arrival, ties in order of first appearance. `horizon` defaults to the
+        last arrival.
+        """
+        job_ids = np.asarray(job_ids, dtype=np.int64)
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        task_indices = np.asarray(task_indices, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.float64)
+        if len(job_ids) == 0:
             raise ValueError("workload must contain at least one job")
-        job_ids = np.fromiter((j.job_id for j in jobs), dtype=np.int64, count=len(jobs))
-        arrivals = np.fromiter((j.arrival_time for j in jobs), dtype=np.float64, count=len(jobs))
-        counts = np.fromiter((len(j.tasks) for j in jobs), dtype=np.int64, count=len(jobs))
-        offsets = np.zeros(len(jobs) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        sizes = np.fromiter(
-            (t.size for j in jobs for t in j.tasks), dtype=np.float64, count=int(offsets[-1])
-        )
-        indices = np.fromiter(
-            (t.task_index for j in jobs for t in j.tasks), dtype=np.int64, count=int(offsets[-1])
-        )
+        if not len(job_ids) == len(arrivals) == len(task_indices) == len(sizes):
+            raise ValueError("task column lengths are inconsistent")
+        _, first, job = np.unique(job_ids, return_index=True, return_inverse=True)
+        row_first = first[job]  # each row's job, named by its first row
+        if not np.array_equal(arrivals, arrivals[row_first], equal_nan=True):
+            raise ValueError("the tasks of a job must share its arrival time")
+        order = np.lexsort((row_first, arrivals))  # stable: rows keep file order
+        starts = np.flatnonzero(np.diff(row_first[order], prepend=-1))
+        offsets = np.append(starts, len(order))
+        job_arrivals = arrivals[order[starts]]
         if horizon is None:
-            horizon = float(arrivals[-1])
-        return cls(job_ids, arrivals, offsets, sizes, indices, horizon, source)
+            horizon = float(job_arrivals[-1])
+        return cls(job_ids[order[starts]], job_arrivals, offsets, sizes[order],
+                   task_indices[order], horizon, source)
 
     @property
     def job_count(self) -> int:
@@ -160,16 +140,6 @@ class Workload:
     def total_work(self) -> float:
         """Total service requirement in CPU-seconds (unit-speed reference)."""
         return float(self.task_sizes.sum())
-
-    def job(self, i: int) -> JobSpec:
-        lo, hi = int(self.task_offsets[i]), int(self.task_offsets[i + 1])
-        tasks = tuple(
-            TaskSpec(int(self.task_indices[k]), float(self.task_sizes[k])) for k in range(lo, hi)
-        )
-        return JobSpec(int(self.job_ids[i]), float(self.arrivals[i]), tasks)
-
-    def jobs(self) -> list[JobSpec]:
-        return [self.job(i) for i in range(self.job_count)]
 
     def task_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat per-task (arrival, size, job ordinal) arrays in dispatch order.
@@ -377,29 +347,19 @@ def weibull_inverse(params: WeibullParams, u):
     return params.scale_a * (-np.log(u)) ** (1.0 / params.shape_b)
 
 
-def _open_uniform(rng: np.random.Generator, count: int | None = None):
-    """Uniform draws strictly inside (0, 1).
+def _open_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniform draws strictly inside (0, 1).
 
     numpy's random() covers [0, 1); the single excluded endpoint 1 would map
     to size 0 and the possible 0 would map to +inf, so exact zeros (measure
     zero, but reachable) are redrawn. No draw is wasted otherwise.
     """
-    if count is None:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return u
     u = rng.random(count)
     bad = np.flatnonzero(u == 0.0)
     while bad.size:
         u[bad] = rng.random(bad.size)
         bad = bad[u[bad] == 0.0]
     return u
-
-
-def sample_weibull(params: WeibullParams, rng: np.random.Generator) -> float:
-    """One Weibull draw by inversion (consumes exactly one uniform a.s.)."""
-    return float(weibull_inverse(params, _open_uniform(rng)))
 
 
 def generate_poisson_weibull(
@@ -463,9 +423,9 @@ def ingest_trace(path) -> Workload:
     a horizon override that is not finite or does not cover the last arrival.
     """
     meta: dict[str, tuple[str, int]] = {}  # key -> (value, line)
-    # job_id -> [arrival, first_line, [(task_index, size), ...]]
-    jobs: dict[int, list] = {}
+    jobs: dict[int, tuple[float, int]] = {}  # job_id -> (arrival, first line)
     seen: set[tuple[int, int]] = set()
+    job_ids, arrivals, task_indices, sizes = [], [], [], []
     header_seen = False
     with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -507,16 +467,16 @@ def ingest_trace(path) -> Workload:
                         f"line {line_no}: duplicate task {task_index} for job {job_id}"
                     )
                 seen.add(key)
-                entry = jobs.get(job_id)
-                if entry is None:
-                    jobs[job_id] = [arrival, line_no, [(task_index, size)]]
-                else:
-                    if arrival != entry[0]:
-                        raise TraceFormatError(
-                            f"line {line_no}: job {job_id} arrival_time {arrival!r} "
-                            f"conflicts with {entry[0]!r} from line {entry[1]}"
-                        )
-                    entry[2].append((task_index, size))
+                first = jobs.setdefault(job_id, (arrival, line_no))
+                if arrival != first[0]:
+                    raise TraceFormatError(
+                        f"line {line_no}: job {job_id} arrival_time {arrival!r} "
+                        f"conflicts with {first[0]!r} from line {first[1]}"
+                    )
+                job_ids.append(job_id)
+                arrivals.append(arrival)
+                task_indices.append(task_index)
+                sizes.append(size)
         except UnicodeDecodeError:
             raise TraceFormatError(_not_utf8(path)) from None
         except csv.Error as exc:
@@ -526,19 +486,17 @@ def ingest_trace(path) -> Workload:
     if not jobs:
         raise TraceFormatError("trace contains no task rows")
 
-    specs = [JobSpec(job_id, arrival, tuple(TaskSpec(ti, sz) for ti, sz in tasks))
-             for job_id, (arrival, _line, tasks) in jobs.items()]
     source = meta.get("source", ("trace",))[0]
     horizon = None
     if "horizon" in meta:
         raw, line_no = meta["horizon"]
         horizon = _parse_trace_value(raw, float, "horizon", line_no)
-        last = max(arrival for arrival, _line, _tasks in jobs.values())
+        last = max(arrivals)
         if not math.isfinite(horizon) or horizon < last:
             raise TraceFormatError(f"line {line_no}: horizon {horizon!r} must be finite "
                                    f"and cover the last arrival {last!r}")
     try:
-        return Workload.from_jobs(specs, horizon=horizon, source=source)
+        return Workload.from_tasks(job_ids, arrivals, task_indices, sizes, horizon, source)
     except ValueError as exc:  # whole-trace checks, such as a finite total size
         raise TraceFormatError(str(exc)) from None
 
@@ -549,19 +507,14 @@ def write_trace_csv(workload: Workload, path) -> None:
     Floats are written with repr so that ingest_trace(write_trace_csv(w)) == w
     bit for bit; horizon and source go into leading comment lines.
     """
+    task_arrival, task_size, task_job = workload.task_arrays()
+    columns = (workload.job_ids[task_job], task_arrival, workload.task_indices, task_size)
     with open(path, "w", newline="") as fh:
         fh.write(f"# source={workload.source}\n")
         fh.write(f"# horizon={workload.horizon!r}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        offsets = workload.task_offsets
-        for i in range(workload.job_count):
-            job_id = int(workload.job_ids[i])
-            arrival = repr(float(workload.arrivals[i]))
-            for k in range(int(offsets[i]), int(offsets[i + 1])):
-                writer.writerow(
-                    (job_id, arrival, int(workload.task_indices[k]), repr(float(workload.task_sizes[k])))
-                )
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        for job, arr, k, size in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{job},{arr!r},{k},{size!r}\n")
 
 
 def calibrate_mu(workload: Workload, n: int, target_rho: float) -> ClusterConfig:

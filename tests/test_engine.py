@@ -12,8 +12,6 @@ from dispatchsim.engine import run
 from dispatchsim.policies import JoinIdleQueue, LeastWorkLeft, parse_policy
 from dispatchsim.workload import (
     ClusterConfig,
-    JobSpec,
-    TaskSpec,
     Workload,
     fit_weibull,
     generate_poisson_weibull,
@@ -22,11 +20,8 @@ from dispatchsim.workload import (
 
 def _wl(entries, horizon=None):
     """entries: list of (job_id, arrival, [sizes])."""
-    jobs = [
-        JobSpec(jid, t, tuple(TaskSpec(k, s) for k, s in enumerate(sizes)))
-        for jid, t, sizes in entries
-    ]
-    return Workload.from_jobs(jobs, horizon=horizon)
+    rows = [(jid, t, k, s) for jid, t, sizes in entries for k, s in enumerate(sizes)]
+    return Workload.from_tasks(*zip(*rows), horizon=horizon)
 
 
 def _cfg(n, mu, rho=0.5, rate=None, mean=None):
@@ -149,10 +144,9 @@ def test_sojourn_positive_and_matches_response_definition():
     # recompute a few responses by brute force from the per-task columns
     task_job_id = wl.job_ids[wl.task_arrays()[2]]
     for i in (0, 7, 42):
-        job = wl.job(i)
         mine = max(
-            c for c, jid in zip(log.completion, task_job_id) if jid == job.job_id
-        ) - job.arrival_time
+            c for c, jid in zip(log.completion, task_job_id) if jid == wl.job_ids[i]
+        ) - wl.arrivals[i]
         assert resp[i] == pytest.approx(mine, rel=0, abs=0)
 
 

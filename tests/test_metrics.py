@@ -11,7 +11,6 @@ from dispatchsim.metrics import (
     RESULT_FIELDS,
     ReplicationSummary,
     RunResult,
-    job_response,
     read_results_csv,
     replicate_and_summarize,
     result_row,
@@ -31,25 +30,6 @@ def _tiny_log(jobs=200, seed=4, cov=1.0, policy="rr"):
     cfg = ClusterConfig.synthetic(2, 0.6)
     wl = generate_poisson_weibull(cfg.arrival_rate, params, jobs, seed)
     return run(wl, cfg, parse_policy(policy), seed), params
-
-
-# ---------------------------------------------------------------------------
-# job_response
-
-
-def test_job_response_takes_last_completion():
-    assert job_response(1.0, [2.0, 5.5, 3.0]) == 4.5
-
-
-def test_job_response_rejects_unfinished():
-    with pytest.raises(ValueError, match="unfinished"):
-        job_response(0.0, [1.0, math.nan])
-    with pytest.raises(ValueError, match="unfinished"):
-        job_response(0.0, [None])
-    with pytest.raises(ValueError):
-        job_response(0.0, [])
-    with pytest.raises(ValueError, match="precedes"):
-        job_response(2.0, [1.0])
 
 
 # ---------------------------------------------------------------------------

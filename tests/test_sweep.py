@@ -26,12 +26,7 @@ from dispatchsim.sweep import (
     write_pivot_csv,
     write_sweep_outputs,
 )
-from dispatchsim.workload import (
-    JobSpec,
-    TaskSpec,
-    Workload,
-    write_trace_csv,
-)
+from dispatchsim.workload import Workload, write_trace_csv
 
 
 def _plan(**overrides):
@@ -256,11 +251,9 @@ def test_synthetic_source_workload_depends_only_on_seed():
 
 
 def _trace_file(tmp_path):
-    jobs = [
-        JobSpec(i, float(i) * 0.5, (TaskSpec(0, 0.5 + (i % 3) * 0.25),))
-        for i in range(40)
-    ]
-    wl = Workload.from_jobs(jobs, source="trace")
+    ids = range(40)
+    wl = Workload.from_tasks(ids, [i * 0.5 for i in ids], [0] * 40,
+                             [0.5 + (i % 3) * 0.25 for i in ids], source="trace")
     path = tmp_path / "t.csv"
     write_trace_csv(wl, path)
     return path, wl

@@ -11,8 +11,6 @@ from scipy.integrate import quad
 from dispatchsim.cli import main as cli_main
 from dispatchsim.workload import (
     ClusterConfig,
-    JobSpec,
-    TaskSpec,
     TraceFormatError,
     WeibullParams,
     Workload,
@@ -20,7 +18,6 @@ from dispatchsim.workload import (
     fit_weibull,
     generate_poisson_weibull,
     ingest_trace,
-    sample_weibull,
     weibull_inverse,
     write_trace_csv,
 )
@@ -114,15 +111,6 @@ def test_inversion_sampler_matches_ccdf_at_quantiles():
         assert abs(frac_above - (1.0 - q)) < tol
 
 
-def test_sample_weibull_deterministic_and_positive():
-    params = fit_weibull(1.0, 10.0)
-    draws_a = [sample_weibull(params, workload_rng(9)) for _ in range(1)]
-    draws_b = [sample_weibull(params, workload_rng(9)) for _ in range(1)]
-    assert draws_a == draws_b
-    rng = workload_rng(10)
-    assert all(sample_weibull(params, rng) > 0 for _ in range(1000))
-
-
 def test_generate_poisson_weibull_shape_and_determinism():
     params = fit_weibull(1.0, 1.0)
     wl1 = generate_poisson_weibull(0.8, params, 5000, seed=3)
@@ -158,36 +146,55 @@ def test_generate_rejects_bad_args():
 # Workload container
 
 
-def _jobs_fixture():
-    return [
-        JobSpec(11, 0.0, (TaskSpec(0, 2.0), TaskSpec(1, 1.0))),
-        JobSpec(12, 1.5, (TaskSpec(0, 0.5),)),
-        JobSpec(13, 1.5, (TaskSpec(0, 3.0),)),
-    ]
+def _tasks_fixture():
+    """Per-task columns (job_id, arrival, task_index, size) of three jobs."""
+    return ([11, 11, 12, 13], [0.0, 0.0, 1.5, 1.5], [0, 1, 0, 0], [2.0, 1.0, 0.5, 3.0])
 
 
-def test_from_jobs_round_trip():
-    wl = Workload.from_jobs(_jobs_fixture(), horizon=4.0, source="trace")
+def _jobs(wl):
+    """Each job as (job_id, arrival, [(task_index, size), ...])."""
+    return [(int(wl.job_ids[i]), float(wl.arrivals[i]),
+             list(zip(wl.task_indices[lo:hi].tolist(), wl.task_sizes[lo:hi].tolist())))
+            for i, (lo, hi) in enumerate(zip(wl.task_offsets[:-1], wl.task_offsets[1:]))]
+
+
+def test_from_tasks_round_trip():
+    wl = Workload.from_tasks(*_tasks_fixture(), horizon=4.0, source="trace")
     assert wl.job_count == 3
     assert wl.task_count == 4
     assert wl.total_work == pytest.approx(6.5)
     assert wl.horizon == 4.0
-    back = wl.jobs()
-    assert back == sorted(_jobs_fixture(), key=lambda j: j.arrival_time)
+    assert _jobs(wl) == [(11, 0.0, [(0, 2.0), (1, 1.0)]), (12, 1.5, [(0, 0.5)]),
+                         (13, 1.5, [(0, 3.0)])]
 
 
-def test_from_jobs_sorts_stably_by_arrival():
-    jobs = [
-        JobSpec(2, 5.0, (TaskSpec(0, 1.0),)),
-        JobSpec(3, 1.0, (TaskSpec(0, 1.0),)),
-        JobSpec(4, 5.0, (TaskSpec(0, 1.0),)),
-    ]
-    wl = Workload.from_jobs(jobs)
+def test_from_tasks_sorts_stably_by_arrival():
+    wl = Workload.from_tasks([2, 3, 4], [5.0, 1.0, 5.0], [0, 0, 0], [1.0, 1.0, 1.0])
     assert list(wl.job_ids) == [3, 2, 4]  # ties keep list order
+    assert wl.horizon == 5.0
+
+
+def test_from_tasks_groups_rows_split_by_another_job():
+    # job 7's rows are split by job 5's rows; job 5 arrives at the same
+    # instant but appears later, so it sorts after job 7
+    wl = Workload.from_tasks([7, 5, 7, 5, 9], [2.0, 2.0, 2.0, 2.0, 1.0], [1, 0, 0, 1, 0],
+                             [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert _jobs(wl) == [(9, 1.0, [(0, 5.0)]), (7, 2.0, [(1, 1.0), (0, 3.0)]),
+                         (5, 2.0, [(0, 2.0), (1, 4.0)])]
+    assert list(wl.task_offsets) == [0, 1, 3, 5]
+
+
+def test_from_tasks_rejects_bad_columns():
+    with pytest.raises(ValueError, match="at least one job"):
+        Workload.from_tasks([], [], [], [])
+    with pytest.raises(ValueError, match="lengths"):
+        Workload.from_tasks([1, 1], [0.0, 0.0], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="share its arrival"):
+        Workload.from_tasks([1, 1], [0.0, 1.0], [0, 1], [1.0, 1.0])
 
 
 def test_task_arrays_expand_multi_task_jobs():
-    wl = Workload.from_jobs(_jobs_fixture())
+    wl = Workload.from_tasks(*_tasks_fixture())
     t_arr, t_size, t_job = wl.task_arrays()
     assert list(t_arr) == [0.0, 0.0, 1.5, 1.5]
     assert list(t_size) == [2.0, 1.0, 0.5, 3.0]
@@ -195,7 +202,7 @@ def test_task_arrays_expand_multi_task_jobs():
 
 
 def test_truncated_keeps_prefix():
-    wl = Workload.from_jobs(_jobs_fixture())
+    wl = Workload.from_tasks(*_tasks_fixture())
     cut = wl.truncated(2)
     assert cut.job_count == 2
     assert cut.task_count == 3
@@ -225,6 +232,9 @@ def test_workload_validation_errors():
             5.0,
             "x",
         )
+    with pytest.raises(ValueError, match="at least one task"):
+        Workload(np.array([0, 1]), np.array([0.0, 1.0]), np.array([0, 0, 1]), np.array([1.0]),
+                 idx, 1.0, "x")
 
 
 def test_workload_rejects_sizes_summing_past_float64(tmp_path):
@@ -232,23 +242,24 @@ def test_workload_rejects_sizes_summing_past_float64(tmp_path):
     ids, offs, idx = np.array([0, 1]), np.array([0, 1, 2]), np.array([0, 0])
     with pytest.raises(ValueError, match="finite total"):
         Workload(ids, np.array([0.0, 1.0]), offs, np.array([1e308, 1e308]), idx, 1.0, "x")
-    path = tmp_path / "big.csv"
-    path.write_text(HEADER + "1,0.0,0,1e308\n2,1.0,0,1e308\n")
-    with pytest.raises(TraceFormatError, match="finite total"):
-        ingest_trace(path)
-
-
-def test_task_spec_and_job_spec_validation():
-    with pytest.raises(ValueError):
-        TaskSpec(0, 0.0)
-    with pytest.raises(ValueError):
-        TaskSpec(0, -1.0)
-    with pytest.raises(ValueError):
-        JobSpec(1, 0.0, ())
-    with pytest.raises(ValueError):
-        JobSpec(1, -0.5, (TaskSpec(0, 1.0),))
-    job = JobSpec(1, 0.0, (TaskSpec(0, 1.0), TaskSpec(1, 2.5)))
-    assert job.total_size == pytest.approx(3.5)
+    # the total 2e200 is finite, but the second moment overflows
+    with pytest.raises(ValueError, match="finite total"):
+        Workload(np.array([0, 1, 2]), np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2, 3]),
+                 np.array([1e200, 1e200, 1.0]), np.array([0, 0, 0]), 2.0, "x")
+    for name, rows in [("big.csv", "1,0.0,0,1e308\n2,1.0,0,1e308\n"),
+                       ("square.csv", "1,0.0,0,1e200\n2,1.0,0,1e200\n3,2.0,0,1\n")]:
+        path = tmp_path / name
+        path.write_text(HEADER + rows)
+        with pytest.raises(TraceFormatError, match="finite total"):
+            ingest_trace(path)
+        for argv in (["ingest-trace"],
+                     ["simulate", "--policy", "rr", "--n", "2", "--rho", "0.5", "--seed", "1"],
+                     ["card-thresholds", "--n", "2", "--rho", "0.5"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli_main(argv + ["--trace", str(path)])
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +276,7 @@ def test_trace_round_trip_bit_exact(tmp_path):
 
 
 def test_trace_round_trip_multi_task(tmp_path):
-    wl = Workload.from_jobs(_jobs_fixture(), horizon=9.25, source="custom")
+    wl = Workload.from_tasks(*_tasks_fixture(), horizon=9.25, source="custom")
     path = tmp_path / "trace.csv"
     write_trace_csv(wl, path)
     back = ingest_trace(path)
@@ -285,7 +296,7 @@ def test_ingest_groups_scattered_tasks(tmp_path):
     wl = ingest_trace(path)
     assert wl.job_count == 2
     assert list(wl.job_ids) == [8, 7]
-    assert wl.job(1).tasks == (TaskSpec(0, 1.0), TaskSpec(1, 0.25))
+    assert _jobs(wl)[1] == (7, 2.0, [(0, 1.0), (1, 0.25)])
     assert wl.source == "trace"
     assert wl.horizon == 2.0
 
@@ -446,12 +457,7 @@ def test_config_rejects_inconsistent_load():
 
 
 def test_calibrate_mu_hits_target_load():
-    wl = Workload.from_jobs(
-        [
-            JobSpec(0, 0.0, (TaskSpec(0, 4.0),)),
-            JobSpec(1, 10.0, (TaskSpec(0, 4.0),)),
-        ]
-    )
+    wl = Workload.from_tasks([0, 1], [0.0, 10.0], [0, 0], [4.0, 4.0])
     cfg = calibrate_mu(wl, n=2, target_rho=0.5)
     # offered work 8 over horizon 10 = 0.8; capacity must be 1.6
     assert cfg.mu == pytest.approx(0.8)
@@ -460,7 +466,7 @@ def test_calibrate_mu_hits_target_load():
 
 
 def test_calibrate_mu_rejects_zero_duration():
-    wl = Workload.from_jobs([JobSpec(0, 0.0, (TaskSpec(0, 1.0),))])
+    wl = Workload.from_tasks([0], [0.0], [0], [1.0])
     with pytest.raises(ValueError, match="horizon"):
         calibrate_mu(wl, 1, 0.5)
 
@@ -479,7 +485,7 @@ def test_weibull_params_validation():
 @st.composite
 def _workloads(draw):
     job_count = draw(st.integers(min_value=1, max_value=12))
-    jobs = []
+    columns = ([], [], [], [])
     t = 0.0
     for j in range(job_count):
         t += draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
@@ -487,10 +493,12 @@ def _workloads(draw):
             st.floats(min_value=1e-12, max_value=1e12, allow_nan=False,
                       allow_infinity=False),
             min_size=1, max_size=4))
-        jobs.append(JobSpec(j, t, tuple(TaskSpec(k, s) for k, s in enumerate(sizes))))
+        for k, s in enumerate(sizes):
+            for column, value in zip(columns, (j, t, k, s)):
+                column.append(value)
     horizon = t + draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     source = draw(st.sampled_from(["synthetic", "trace", "demo"]))
-    return Workload.from_jobs(jobs, horizon=horizon, source=source)
+    return Workload.from_tasks(*columns, horizon=horizon, source=source)
 
 
 @given(_workloads())
