@@ -6,10 +6,11 @@ The package is organized around a small pipeline:
                 generators, trace ingestion and writing, cluster calibration
     analysis    service-size distribution math: moments, quantiles, load
                 integrals, M/G/1 mean response, multi-band thresholds
-    policies    dispatching policies (round robin, join-idle-queue,
-                least-work-left, multi-band size-aware routing) plus the
-                two-stage wrapper
-    engine      the deterministic event-driven simulator
+    policies    policy labels and specs (one kind alone or split over two
+                stages by theta/n1) and each kind's stage-local chooser:
+                join-idle-queue, least-work-left, multi-band size-aware
+    engine      the deterministic simulator, an FCFS recursion in dispatch
+                order (round robin is a cycle over each stage)
     metrics     response-time aggregation, warm-up handling, replication
                 summaries, result serialization
     sweep       parameter sweeps and two-stage configuration search

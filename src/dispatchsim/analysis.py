@@ -25,12 +25,11 @@ from .workload import WeibullParams, Workload
 class Distribution:
     """Interface for a service-size law.
 
-    Subclasses set `kind`, `mean`, `second_moment` and implement `ccdf`,
+    Subclasses set `mean`, `second_moment` and implement `ccdf`,
     `quantile`, and `partial_load`. Sizes are CPU-seconds on a unit-speed
     reference server.
     """
 
-    kind: str = "abstract"
     mean: float
     second_moment: float
 
@@ -65,8 +64,6 @@ class WeibullDistribution(Distribution):
     by E[S] = a*Gamma(1+1/b) regularizes it.
     """
 
-    kind = "weibull"
-
     def __init__(self, params: WeibullParams) -> None:
         self.params = params
         self.mean = params.mean
@@ -100,8 +97,6 @@ class EmpiricalDistribution(Distribution):
     Quantiles use the nearest-rank convention; partial_load is the exact
     finite-sample ratio sum(sizes <= m) / sum(sizes).
     """
-
-    kind = "empirical"
 
     def __init__(self, sizes) -> None:
         arr = np.asarray(sizes, dtype=np.float64)

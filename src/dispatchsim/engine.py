@@ -26,8 +26,8 @@ stage-1 completion. `_PopOrder` walks these chains back to settle each tie:
     first; a lazy heap replays the drains before each choice.
 
 `clear[g]`, in one engine-owned list over global servers, is the instant
-server g's backlog empties; each stage's policy reads it through a
-`StageView`. Two-stage: a task of size s first occupies a stage-0 server for
+server g's backlog empties; lwl and card read each stage's slice of it at
+every choice. Two-stage: a task of size s first occupies a stage-0 server for
 min(s, theta); if s > theta it transfers at the truncation instant and
 restarts from scratch, needing the full s, on a stage-1 server chosen by an
 independent instance of the same policy kind. Under a horizon, `clear`
@@ -44,7 +44,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
-from .policies import PolicySpec, StageView, build_policy
+from .policies import JoinIdleQueue, PolicySpec, least_work_left, multi_band_card
 from .randomness import policy_rng
 from .workload import ClusterConfig, Workload
 
@@ -204,16 +204,16 @@ class _PopOrder:
                 return rank_e < rank_f
 
 
-def _jiq_picks(pol, order, s, offset, count, clear):
-    """`pick(a, r)` for `_fcfs` under JIQ on stage s. A lazy heap holds
-    (clear, server) for each busy server, with `clear` as of its push; a
-    server whose `clear` has moved since is pushed again. Before each choice
-    the servers that drain before the dispatch pops (stage 0: clear < a;
-    stage 1: also clear == a when the last completion pops first) join the
-    idle table, same-instant drains in pop order."""
+def _jiq_choose(pol, order, s, offset, clear):
+    """`choose(a, size)` for stage s under JIQ. A lazy heap holds (clear,
+    server) for each busy server, with `clear` as of its push; a server whose
+    `clear` has moved since is pushed again. Before each choice the previous
+    dispatch leaves the idle table, and the servers that drain before the
+    dispatch pops (stage 0: clear < a; stage 1: also clear == a when the last
+    completion pops first) join it, same-instant drains in pop order."""
     done, where = order.done[s], order.where[s]
     heap, pushed = [], [False] * len(clear)
-    choose, assign, idle = pol.choose, pol.on_assign, pol.on_server_idle
+    assign, idle, choose_idle = pol.on_assign, pol.on_server_idle, pol.choose
 
     in_pop_order = cmp_to_key(lambda x, y: -1 if x[0] < y[0] or x[0] == y[0] and order.first(
         order.last(s, len(where), x[1]), order.last(s, len(where), y[1])) else 1)
@@ -233,9 +233,10 @@ def _jiq_picks(pol, order, s, offset, count, clear):
             pushed[g] = False
             idle(g - offset)
 
-    def pick(a, r):
+    def choose(a, size):
         if where:  # the previous dispatch has completed its recursion step
             g = where[-1]
+            assign(g - offset)
             done.append(c := clear[g])
             if not pushed[g]:
                 pushed[g] = True
@@ -252,13 +253,8 @@ def _jiq_picks(pol, order, s, offset, count, clear):
                 idle(g - offset)
         if heap and (heap[0][0] < a or s and heap[0][0] == a):
             drain(a)
-        j = choose(a, None)
-        if not 0 <= j < count:
-            raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
-        assign(j, r)
-        where.append(g := offset + j)
-        return g
-    return pick
+        return choose_idle()
+    return choose
 
 
 def run(
@@ -297,21 +293,22 @@ def run(
             picks = cycle(range(offset, offset + count))
             done = _fcfs(arr, req, picks, clear, busy, since, speed)
             return np.fromiter(done, np.float64, len(arr)), offset + np.arange(len(arr)) % count
-        pol = build_policy(policy.kind, policy.thresholds)
-        pol.bind(StageView(clear, offset, count, speed), policy_rng(seed, s))
+        rng, where = policy_rng(seed, s), []
         if policy.kind == "jiq":
-            picks = map(_jiq_picks(pol, order, s, offset, count, clear), arr, req)
             where = order.where[s]
+            choose = _jiq_choose(JoinIdleQueue(count, rng), order, s, offset, clear)
+        elif policy.kind == "lwl":
+            choose = least_work_left(clear, offset, count, speed, rng)
         else:
-            choose, where = pol.choose, []
+            choose = multi_band_card(clear, offset, count, speed, rng, policy.thresholds)
 
-            def pick(a, size):
-                j = choose(a, size)
-                if not 0 <= j < count:
-                    raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
-                where.append(g := offset + j)
-                return g
-            picks = map(pick, arr, sizes.tolist() if pol.needs_size else repeat(None))
+        def pick(a, size):
+            j = choose(a, size)
+            if not 0 <= j < count:
+                raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
+            where.append(g := offset + j)
+            return g
+        picks = map(pick, arr, sizes.tolist() if policy.kind == "card" else repeat(None))
         done = np.fromiter(_fcfs(arr, req, picks, clear, busy, since, speed), np.float64, len(arr))
         if policy.kind == "jiq" and where:
             order.done[s].append(clear[where[-1]])

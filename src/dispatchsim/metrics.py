@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class RunResult:
     theta: float | None = None
     n1: int | None = None
     cov: float | None = None  # size-law cov when known (synthetic runs)
-    responses: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def summarize_run(
@@ -79,7 +78,6 @@ def summarize_run(
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
     baseline: Distribution | None = None,
     cov: float | None = None,
-    keep_responses: bool = False,
 ) -> RunResult:
     """Reduce a completion log to a RunResult.
 
@@ -114,7 +112,6 @@ def summarize_run(
         theta=spec.theta,
         n1=spec.n1,
         cov=cov,
-        responses=(post if keep_responses else None),
     )
 
 

@@ -1,11 +1,15 @@
 """Dispatching policies and the two-stage architecture spec.
 
-A policy sees one stage of the cluster through a `StageView` (stage-local
-server indices 0..count-1) and picks a server for each arriving task. The
-engine owns all queueing mechanics; policies only answer "which server" and
-observe two kinds of feedback: `on_assign` (a task was just placed) and
-`on_server_idle` (a server just drained). Signaling is zero-latency: state
-updates are visible to the next decision at the same instant.
+A dispatcher picks a server within one stage of the cluster, a contiguous
+block of servers offset..offset+count-1, and answers with a stage-local
+index. rr is a plain cycle over the stage. lwl and card are factories of a
+`choose(now, size)` closure that reads the engine-owned list `clear`, the
+instant each global server's backlog empties, so every engine write is
+visible to the next decision; a backlog in size units is (clear - now) *
+speed, clamped at zero. Only `JoinIdleQueue` keeps state of its own, an
+idle table fed by `on_assign` (a task was just placed) and `on_server_idle`
+(a server just drained). Signaling is zero-latency: state updates are
+visible to the next decision at the same instant.
 
 Policies draw tie-breaks from a dedicated per-stage stream, so policy choices
 never perturb workload randomness and stage-0 decisions are bit-identical
@@ -28,84 +32,7 @@ from .randomness import UniformIndex
 POLICY_KINDS = ("rr", "jiq", "lwl", "card")
 
 
-class StageView:
-    """Observable state of one stage: a contiguous block of servers.
-
-    Policies address servers by stage-local index; the engine translates to
-    global indices. `clear` is the engine-owned list, indexed by global
-    server, of the instants at which each backlog empties; the stage's
-    servers are clear[offset:offset + count]. The view holds the list
-    itself, so every engine write is visible to the next decision.
-    `unfinished_work` reports each server's backlog in size units (queued
-    plus remaining in-service requirement, scaled by speed).
-    """
-
-    __slots__ = ("clear", "offset", "count", "speed")
-
-    def __init__(self, clear: list[float], offset: int, count: int, speed: float) -> None:
-        self.clear = clear
-        self.offset = offset
-        self.count = count
-        self.speed = speed
-
-    def unfinished_work(self, now: float) -> list[float]:
-        """Backlog of every server in the stage, in size units, at `now`."""
-        speed = self.speed
-        out = []
-        for c in self.clear[self.offset:self.offset + self.count]:
-            gap = c - now
-            out.append(gap * speed if gap > 0.0 else 0.0)
-        return out
-
-
-class DispatchPolicy:
-    """Base policy. Subclasses implement choose(); feedback hooks are no-ops.
-
-    `needs_size` advertises whether choose() may read the task size; the
-    engine passes None to size-agnostic policies so accidental peeking fails
-    loudly.
-    """
-
-    needs_size = False
-
-    def bind(self, view: StageView, rng: np.random.Generator) -> None:
-        self.view = view
-        self.rng = rng
-
-    def choose(self, now: float, size: float | None) -> int:
-        raise NotImplementedError
-
-    def on_assign(self, local: int, requirement: float) -> None:
-        pass
-
-    def on_server_idle(self, local: int) -> None:
-        pass
-
-    def check_state(self, busy: list[bool]) -> None:
-        """Debug hook: raise AssertionError if the policy's own state
-        disagrees with the stage's busy flags (stage-local order)."""
-
-
-class RoundRobin(DispatchPolicy):
-    """Cyclic dispatch: the k-th arrival goes to server (k-1) mod count.
-
-    Stateless apart from the arrival counter; any window of `count`
-    consecutive arrivals touches every server exactly once.
-    """
-
-    def bind(self, view: StageView, rng: np.random.Generator) -> None:
-        super().bind(view, rng)
-        self._next = 0
-
-    def choose(self, now: float, size: float | None) -> int:
-        j = self._next
-        self._next = j + 1
-        if self._next == self.view.count:
-            self._next = 0
-        return j
-
-
-class JoinIdleQueue(DispatchPolicy):
+class JoinIdleQueue:
     """Dispatch to a uniformly random idle server, if any.
 
     The dispatcher keeps one bit per server, all set initially (servers start
@@ -115,21 +42,21 @@ class JoinIdleQueue(DispatchPolicy):
     servers (the chosen one is busy; its bit stays clear).
     """
 
-    def bind(self, view: StageView, rng: np.random.Generator) -> None:
-        super().bind(view, rng)
+    def __init__(self, count: int, rng: np.random.Generator) -> None:
         self._draw = UniformIndex(rng).draw
-        self._idle = list(range(view.count))
-        self._pos = list(range(view.count))  # server -> position in _idle, or -1
+        self._count = count
+        self._idle = list(range(count))
+        self._pos = list(range(count))  # server -> position in _idle, or -1
 
-    def choose(self, now: float, size: float | None) -> int:
+    def choose(self) -> int:
         k = len(self._idle)
         if k == 0:
-            return self._draw(self.view.count)
+            return self._draw(self._count)
         if k == 1:
             return self._idle[0]
         return self._idle[self._draw(k)]
 
-    def on_assign(self, local: int, requirement: float) -> None:
+    def on_assign(self, local: int) -> None:
         p = self._pos[local]
         if p < 0:
             return  # was already busy (drawn from the all-busy branch)
@@ -146,31 +73,28 @@ class JoinIdleQueue(DispatchPolicy):
         self._idle.append(local)
 
     def check_state(self, busy: list[bool]) -> None:
+        """Raise AssertionError if the idle table disagrees with the stage's
+        busy flags (stage-local order)."""
         marked = [p >= 0 and self._idle[p] == j for j, p in enumerate(self._pos)]
         if marked != [not b for b in busy] or len(self._idle) != busy.count(False):
             raise AssertionError(f"idle table {self._idle} out of sync with busy flags {busy}")
 
 
-class LeastWorkLeft(DispatchPolicy):
-    """Dispatch to the server with the least unfinished work.
+def least_work_left(clear, offset, count, speed, rng):
+    """`choose(now, size)` for the server with the least unfinished work.
 
     Ties are broken uniformly at random; with several idle servers all
     minimizers sit at zero backlog, so the idle case needs no special path.
+    The size is not read.
     """
+    draw = UniformIndex(rng).draw
 
-    def bind(self, view: StageView, rng: np.random.Generator) -> None:
-        super().bind(view, rng)
-        self._draw = UniformIndex(rng).draw
-
-    def choose(self, now: float, size: float | None) -> int:
-        # unfinished_work's exact backlog expression, fused with the argmin
-        view = self.view
-        clear, off, speed = view.clear, view.offset, view.speed
-        gap = clear[off] - now
+    def choose(now: float, size: float | None) -> int:
+        gap = clear[offset] - now
         best = gap * speed if gap > 0.0 else 0.0
         ties = [0]
-        for j in range(1, view.count):
-            gap = clear[off + j] - now
+        for j in range(1, count):
+            gap = clear[offset + j] - now
             w = gap * speed if gap > 0.0 else 0.0
             if w < best:
                 best = w
@@ -179,11 +103,13 @@ class LeastWorkLeft(DispatchPolicy):
                 ties.append(j)
         if len(ties) == 1:
             return ties[0]
-        return ties[self._draw(len(ties))]
+        return ties[draw(len(ties))]
+    return choose
 
 
-class MultiBandCard(DispatchPolicy):
-    """Size-aware multi-band dispatch over load-balanced thresholds.
+def multi_band_card(clear, offset, count, speed, rng, thresholds: CardThresholds):
+    """`choose(now, size)` for size-aware multi-band dispatch over
+    load-balanced thresholds.
 
     Servers are ranked by unfinished work (ascending, ties in uniformly
     random order). A task of size s in band i (m[i-1] <= s < m[i], 1-based)
@@ -193,38 +119,27 @@ class MultiBandCard(DispatchPolicy):
     band carries roughly equal load, so ranks act as dedicated servers
     without static assignment.
     """
+    m, c, stop = list(thresholds.m), list(thresholds.c), offset + count
 
-    needs_size = True
-
-    def __init__(self, thresholds: CardThresholds) -> None:
-        self.thresholds = thresholds
-
-    def bind(self, view: StageView, rng: np.random.Generator) -> None:
-        super().bind(view, rng)
-        if self.thresholds.n != view.count:
-            raise ValueError(
-                f"thresholds are for {self.thresholds.n} servers, stage has {view.count}"
-            )
-        self._m = list(self.thresholds.m)
-        self._c = list(self.thresholds.c)
-
-    def choose(self, now: float, size: float | None) -> int:
+    def choose(now: float, size: float | None) -> int:
         if size is None:
             raise RuntimeError("size-aware policy dispatched without a size")
-        n = self.view.count
-        work = self.view.unfinished_work(now)
-        tie = self.rng.permutation(n)
+        work = []
+        for x in clear[offset:stop]:
+            gap = x - now
+            work.append(gap * speed if gap > 0.0 else 0.0)
+        tie = rng.permutation(count)
         order = np.lexsort((tie, work))  # by work, ties in permutation order
-        m = self._m
         if size < m[0]:
             return int(order[0])
         if size >= m[-1]:
             return int(order[-1])
         band = bisect_right(m, size)  # 1-based band index, in 1..n-1 here
         preferred = int(order[band - 1])
-        if work[preferred] <= self._c[band - 1]:
+        if work[preferred] <= c[band - 1]:
             return preferred
         return int(order[band])
+    return choose
 
 
 @dataclass(frozen=True)
@@ -233,10 +148,10 @@ class PolicySpec:
 
     Single-stage: kind in {"rr", "jiq", "lwl", "card"}; "card" additionally
     needs thresholds. Two-stage: the same kind runs independently on both
-    stages (separate instances, separate state, separate tie-break streams);
+    stages (separate choosers, separate state, separate tie-break streams);
     stage 0 holds n1 servers and truncates service at theta, stage 1 holds
     the rest and runs tasks with size > theta from scratch. "card" is
-    size-aware already and is not composed with the two-stage wrapper.
+    size-aware already and is not split over two stages.
     """
 
     kind: str
@@ -307,18 +222,3 @@ def parse_policy(
     """
     kind, two_stage = parse_label(text)
     return PolicySpec(kind=kind, two_stage=two_stage, n1=n1, theta=theta, thresholds=thresholds)
-
-
-def build_policy(spec_kind: str, thresholds: CardThresholds | None = None) -> DispatchPolicy:
-    """Instantiate one (unbound) policy for a single stage."""
-    if spec_kind == "rr":
-        return RoundRobin()
-    if spec_kind == "jiq":
-        return JoinIdleQueue()
-    if spec_kind == "lwl":
-        return LeastWorkLeft()
-    if spec_kind == "card":
-        if thresholds is None:
-            raise ValueError("card policy needs thresholds")
-        return MultiBandCard(thresholds)
-    raise ValueError(f"unknown policy kind {spec_kind!r}")

@@ -4,9 +4,11 @@ It pops arrivals, service completions and stage transfers from one calendar
 and keeps every server's FCFS queue explicitly, so it shares no code with
 `dispatchsim.engine.run`, which computes the same run as a dispatch-order
 recursion. The equality tests compare `engine.run` against it array for
-array. With `check=True` it re-derives every server's backlog by brute force
-after each event and cross-checks each stage's policy state against the
-servers' busy flags.
+array. Each stage dispatches through the policy kind's own chooser (a
+`cycle` for rr, `least_work_left`, `multi_band_card` or a `JoinIdleQueue`),
+reading this engine's `clear` list. With `check=True` it re-derives every
+server's backlog by brute force after each event and cross-checks each jiq
+stage's idle table against the servers' busy flags.
 
 Event ordering. The calendar is totally ordered by (time, sequence). All task
 arrivals are known up front and occupy sequence numbers 0..T-1 in arrival
@@ -21,11 +23,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
+from itertools import cycle
 
 import numpy as np
 
 from dispatchsim.engine import CompletionLog
-from dispatchsim.policies import StageView, build_policy
+from dispatchsim.policies import JoinIdleQueue, least_work_left, multi_band_card
 from dispatchsim.randomness import policy_rng
 
 # A calendar entry is (time, sequence, kind, global server, task); arrivals
@@ -50,17 +53,17 @@ class ServerState:
         self.served_work = 0.0
 
 
-def check_bookkeeping(servers, now: float, stage_policies) -> None:
+def check_bookkeeping(servers, now: float, clear, speed, stages) -> None:
     """Brute-force invariants after an event:
 
-      * tracked backlog (read through each stage's view of `clear`) equals
-        remaining in-service work plus the sum of queued requirements;
+      * tracked backlog (read from `clear`) equals remaining in-service work
+        plus the sum of queued requirements;
       * an idle server has an empty queue and zero tracked work;
-      * each stage's policy state agrees with its servers' busy flags.
+      * each jiq stage's idle table agrees with its servers' busy flags.
     """
-    speed = stage_policies[0].view.speed
-    tracked_work = [w for pol in stage_policies for w in pol.view.unfinished_work(now)]
-    for g, (s, tracked) in enumerate(zip(servers, tracked_work)):
+    for g, s in enumerate(servers):
+        gap = clear[g] - now
+        tracked = gap * speed if gap > 0.0 else 0.0
         if s.in_service_task >= 0:
             left = s.in_service_done - now
             brute = (left if left > 0.0 else 0.0) * speed
@@ -75,9 +78,22 @@ def check_bookkeeping(servers, now: float, stage_policies) -> None:
                 f"brute-force {brute!r} at t={now!r}"
             )
     busy = [s.in_service_task >= 0 for s in servers]
-    for pol in stage_policies:
-        view = pol.view
-        pol.check_state(busy[view.offset:view.offset + view.count])
+    for offset, count, _choose, jiq in stages:
+        if jiq is not None:
+            jiq.check_state(busy[offset:offset + count])
+
+
+def _stage(policy, clear, offset, count, speed, rng):
+    """(offset, count, choose(now, size), jiq idle table or None) for one stage."""
+    if policy.kind == "rr":
+        nxt = cycle(range(count)).__next__
+        return offset, count, lambda now, size: nxt(), None
+    if policy.kind == "jiq":
+        jiq = JoinIdleQueue(count, rng)
+        return offset, count, lambda now, size: jiq.choose(), jiq
+    if policy.kind == "lwl":
+        return offset, count, least_work_left(clear, offset, count, speed, rng), None
+    return offset, count, multi_band_card(clear, offset, count, speed, rng, policy.thresholds), None
 
 
 def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None,
@@ -101,13 +117,9 @@ def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None
 
     servers = [ServerState() for _ in range(n)]
     clear = [0.0] * n  # instant each server's backlog empties
-    pol1 = build_policy(policy.kind, policy.thresholds)
-    pol1.bind(StageView(clear, 0, n1, speed), policy_rng(seed, 0))
-    pol2 = None
-    if two_stage:
-        pol2 = build_policy(policy.kind, None)
-        pol2.bind(StageView(clear, n1, n - n1, speed), policy_rng(seed, 1))
-    stage_policies = (pol1, pol2) if two_stage else (pol1,)
+    stage1 = _stage(policy, clear, 0, n1, speed, policy_rng(seed, 0))
+    stage2 = _stage(policy, clear, n1, n - n1, speed, policy_rng(seed, 1)) if two_stage else None
+    stages = (stage1, stage2) if two_stage else (stage1,)
 
     completion = [math.nan] * T
     completed_stage = [0] * T
@@ -135,12 +147,14 @@ def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None
             clear[g] += req / speed
             srv.fcfs_queue.append((task, req))
 
-    def dispatch(pol, offset, count, task, req):
-        local = pol.choose(now, size_l[task] if pol.needs_size else None)
+    def dispatch(stage, task, req):
+        offset, count, choose, jiq = stage
+        local = choose(now, size_l[task])
         if not 0 <= local < count:
             raise RuntimeError(f"policy chose server {local} outside stage of size {count}")
         enqueue(offset + local, task, req)
-        pol.on_assign(local, req)
+        if jiq is not None:
+            jiq.on_assign(local)
         return offset + local
 
     while True:
@@ -152,7 +166,7 @@ def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None
             i += 1
             size = size_l[task]
             req = theta if (theta is not None and size > theta) else size
-            stage1_server[task] = dispatch(pol1, 0, n1, task, req)
+            stage1_server[task] = dispatch(stage1, task, req)
         elif heap:
             now, _seq, kind, g, task = heappop(heap)
             if horizon is not None and now > horizon:
@@ -170,10 +184,9 @@ def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None
                 else:
                     srv.in_service_task = -1
                     srv.busy_integral += now - srv.busy_since
-                    if g >= n1:
-                        pol2.on_server_idle(g - n1)
-                    else:
-                        pol1.on_server_idle(g)
+                    offset, _count, _choose, jiq = stage2 if g >= n1 else stage1
+                    if jiq is not None:
+                        jiq.on_server_idle(g - offset)
                 if theta is not None and g < n1 and size_l[task] > theta:
                     transfer_time[task] = now
                     seq += 1
@@ -183,11 +196,11 @@ def run_reference(workload, config, policy, seed, *, max_jobs=None, horizon=None
                     completed_stage[task] = 2 if (two_stage and g >= n1) else 1
             else:  # STAGE_TRANSFER
                 transfers += 1
-                stage2_server[task] = dispatch(pol2, n1, n - n1, task, size_l[task])
+                stage2_server[task] = dispatch(stage2, task, size_l[task])
         else:
             break
         if check:
-            check_bookkeeping(servers, now, stage_policies)
+            check_bookkeeping(servers, now, clear, speed, stages)
 
     for s in servers:
         if s.in_service_task >= 0:

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import run_reference
 
+from dispatchsim import engine
 from dispatchsim.analysis import CardThresholds, WeibullDistribution, card_thresholds
 from dispatchsim.engine import run
-from dispatchsim.policies import JoinIdleQueue, LeastWorkLeft, parse_policy
+from dispatchsim.policies import JoinIdleQueue, least_work_left, parse_policy
 from dispatchsim.workload import (
     ClusterConfig,
     Workload,
@@ -276,37 +277,42 @@ def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
     # the recursion calls choose() per dispatch and checks its answer; rr's
     # precomputed servers never are out of range
     wl = _wl([(0, 0.0, [1.0])])
-    monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: 5)
+    monkeypatch.setattr(engine, "least_work_left", lambda *stage: lambda now, size: 5)
     with pytest.raises(RuntimeError, match="outside stage"):
         run(wl, _cfg(2, 1.0), _policy("lwl"), seed=0)
 
 
 def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
-    # only the stage-1 instance (view offset n1 = 1) answers out of range;
-    # the recursion's stage-1 pass checks it
+    # only the stage-1 chooser (offset n1 = 1) answers out of range; the
+    # recursion's stage-1 pass checks it
     wl = _wl([(0, 0.0, [3.0])])
-    choose = LeastWorkLeft.choose
-    monkeypatch.setattr(LeastWorkLeft, "choose", lambda self, now, size: (
-        5 if self.view.offset else choose(self, now, size)))
+    monkeypatch.setattr(engine, "least_work_left", lambda clear, offset, *rest: (
+        (lambda now, size: 5) if offset else least_work_left(clear, offset, *rest)))
     with pytest.raises(RuntimeError, match="outside stage of size 1"):
         run(wl, _cfg(2, 1.0), _policy("two_stage:lwl", n1=1, theta=1.0), seed=0)
 
 
 def test_out_of_range_jiq_choice_is_an_engine_error(monkeypatch):
-    # jiq's own pick, which replays the drains before each choice, checks
-    # its answer too
+    # jiq's chooser, which replays the drains before each choice, goes
+    # through the same check
     wl = _wl([(0, 0.0, [1.0])])
-    monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: -1)
+    monkeypatch.setattr(JoinIdleQueue, "choose", lambda self: -1)
     with pytest.raises(RuntimeError, match="outside stage of size 2"):
         run(wl, _cfg(2, 1.0), _policy("jiq"), seed=0)
 
 
 def test_out_of_range_jiq_stage1_choice_is_an_engine_error(monkeypatch):
-    # ... on stage 1 as well
+    # ... on stage 1 as well: the second idle table built is stage 1's
     wl = _wl([(0, 0.0, [3.0])])
-    choose = JoinIdleQueue.choose
-    monkeypatch.setattr(JoinIdleQueue, "choose", lambda self, now, size: (
-        1 if self.view.offset else choose(self, now, size)))
+    built = []
+
+    def jiq(count, rng):
+        table = JoinIdleQueue(count, rng)
+        if built:
+            table.choose = lambda: 1
+        built.append(table)
+        return table
+    monkeypatch.setattr(engine, "JoinIdleQueue", jiq)
     with pytest.raises(RuntimeError, match="outside stage of size 1"):
         run(wl, _cfg(2, 1.0), _policy("two_stage:jiq", n1=1, theta=1.0), seed=0)
 

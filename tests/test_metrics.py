@@ -90,12 +90,6 @@ def test_summarize_run_skips_unfinished_jobs():
     assert res.job_count + res.incomplete_jobs == 50
 
 
-def test_summarize_run_keep_responses():
-    log, _ = _tiny_log()
-    res = summarize_run(log, keep_responses=True)
-    assert res.responses is not None and len(res.responses) == 180
-
-
 # ---------------------------------------------------------------------------
 # replication summaries
 

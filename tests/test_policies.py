@@ -8,65 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispatchsim.analysis import CardThresholds
+from dispatchsim.engine import run
 from dispatchsim.policies import (
     JoinIdleQueue,
-    LeastWorkLeft,
-    MultiBandCard,
-    PolicySpec,
-    RoundRobin,
-    StageView,
-    build_policy,
+    least_work_left,
+    multi_band_card,
     parse_label,
     parse_policy,
 )
 from dispatchsim.randomness import policy_rng
+from dispatchsim.workload import ClusterConfig, Workload
 
 
-def _view(n, speed=1.0, offset=0, total=None):
-    clear = [0.0] * (total or (offset + n))
-    return StageView(clear, offset, n, speed), clear
+def _jiq(n, seed=0):
+    return JoinIdleQueue(n, policy_rng(seed, 0))
 
 
-def _bound(policy, n, seed=0, **view_kw):
-    view, clear = _view(n, **view_kw)
-    policy.bind(view, policy_rng(seed, 0))
-    return policy, view, clear
-
-
-# ---------------------------------------------------------------------------
-# StageView
-
-
-def test_stage_view_reports_work_in_size_units():
-    view, clear = _view(2, speed=0.5)
-    clear[0] = 10.0
-    assert view.unfinished_work(4.0) == [3.0, 0.0]  # (10-4)*0.5
-    assert view.unfinished_work(12.0) == [0.0, 0.0]  # drained servers clamp
-
-
-def test_stage_view_offset_maps_local_indices():
-    view, clear = _view(2, offset=3, total=5)
-    clear[3] = 7.0
-    clear[0] = 99.0  # outside the stage; must be invisible
-    assert view.unfinished_work(5.0) == [2.0, 0.0]
-
-
-# ---------------------------------------------------------------------------
-# Round robin
-
-
-def test_round_robin_cycles():
-    pol, _, _ = _bound(RoundRobin(), 3)
-    picks = [pol.choose(t, None) for t in range(7)]
-    assert picks == [0, 1, 2, 0, 1, 2, 0]
-
-
-def test_round_robin_window_property():
-    for n in (1, 2, 5, 16):
-        pol, _, _ = _bound(RoundRobin(), n)
-        picks = [pol.choose(0.0, None) for _ in range(5 * n)]
-        for start in range(len(picks) - n + 1):
-            assert sorted(picks[start:start + n]) == list(range(n))
+def _lwl(n, seed=0, speed=1.0):
+    clear = [0.0] * n
+    return least_work_left(clear, 0, n, speed, policy_rng(seed, 0)), clear
 
 
 # ---------------------------------------------------------------------------
@@ -74,52 +34,52 @@ def test_round_robin_window_property():
 
 
 def test_jiq_starts_all_idle_then_tracks_bits():
-    pol, _, _ = _bound(JoinIdleQueue(), 4, seed=3)
+    pol = _jiq(4, seed=3)
     seen = set()
     for _ in range(4):
-        j = pol.choose(0.0, None)
+        j = pol.choose()
         assert j not in seen  # a cleared bit cannot be chosen again
         seen.add(j)
-        pol.on_assign(j, 1.0)
+        pol.on_assign(j)
     assert seen == {0, 1, 2, 3}
 
 
 def test_jiq_single_idle_is_forced():
-    pol, _, _ = _bound(JoinIdleQueue(), 3, seed=1)
+    pol = _jiq(3, seed=1)
     for j in (0, 2):
-        pol.on_assign(j, 1.0)
-    assert pol.choose(0.0, None) == 1
+        pol.on_assign(j)
+    assert pol.choose() == 1
 
 
 def test_jiq_all_busy_falls_back_to_uniform():
-    pol, _, _ = _bound(JoinIdleQueue(), 3, seed=9)
+    pol = _jiq(3, seed=9)
     for j in range(3):
-        pol.on_assign(j, 1.0)
-    counts = Counter(pol.choose(0.0, None) for _ in range(3000))
+        pol.on_assign(j)
+    counts = Counter(pol.choose() for _ in range(3000))
     assert set(counts) == {0, 1, 2}
     for c in counts.values():
         assert abs(c - 1000) < 150  # ~4 sigma for multinomial(3000, 1/3)
 
 
 def test_jiq_idle_message_restores_bit():
-    pol, _, _ = _bound(JoinIdleQueue(), 2, seed=4)
-    pol.on_assign(0, 1.0)
-    pol.on_assign(1, 1.0)
+    pol = _jiq(2, seed=4)
+    pol.on_assign(0)
+    pol.on_assign(1)
     pol.on_server_idle(0)
-    assert pol.choose(0.0, None) == 0
+    assert pol.choose() == 0
 
 
 def test_jiq_rejects_double_idle_message():
-    pol, _, _ = _bound(JoinIdleQueue(), 2)
-    pol.on_assign(0, 1.0)
+    pol = _jiq(2)
+    pol.on_assign(0)
     pol.on_server_idle(0)
     with pytest.raises(RuntimeError, match="idle twice"):
         pol.on_server_idle(0)
 
 
 def test_jiq_check_state_flags_idle_table_drift():
-    pol, _, _ = _bound(JoinIdleQueue(), 3)
-    pol.on_assign(1, 1.0)
+    pol = _jiq(3)
+    pol.on_assign(1)
     pol.check_state([False, True, False])
     with pytest.raises(AssertionError, match="out of sync"):
         pol.check_state([False, False, False])  # server 1 drained unreported
@@ -130,9 +90,9 @@ def test_jiq_check_state_flags_idle_table_drift():
 def test_jiq_uniform_over_idle_set():
     counts = Counter()
     for seed in range(2000):
-        pol, _, _ = _bound(JoinIdleQueue(), 4, seed=seed)
-        pol.on_assign(2, 1.0)  # idle set becomes {0, 1, 3}
-        counts[pol.choose(0.0, None)] += 1
+        pol = _jiq(4, seed=seed)
+        pol.on_assign(2)  # idle set becomes {0, 1, 3}
+        counts[pol.choose()] += 1
     assert set(counts) == {0, 1, 3}
     for c in counts.values():
         assert abs(c - 2000 / 3) < 120
@@ -143,82 +103,78 @@ def test_jiq_uniform_over_idle_set():
 
 
 def test_lwl_picks_unique_minimum():
-    pol, view, clear = _bound(LeastWorkLeft(), 3)
+    choose, clear = _lwl(3)
     clear[0] = 5.0
     clear[1] = 2.0
     clear[2] = 9.0
-    assert pol.choose(1.0, None) == 1
+    assert choose(1.0, None) == 1
     # at t=8: works are (0, 0, 1) -> tie between 0 and 1, either is valid
-    assert pol.choose(8.0, None) in (0, 1)
+    assert choose(8.0, None) in (0, 1)
 
 
 def test_lwl_tie_break_uniform():
     counts = Counter()
     for seed in range(3000):
-        pol, view, clear = _bound(LeastWorkLeft(), 3, seed=seed)
+        choose, clear = _lwl(3, seed=seed)
         clear[2] = 4.0  # servers 0,1 idle -> tied at zero
-        counts[pol.choose(0.0, None)] += 1
+        counts[choose(0.0, None)] += 1
     assert set(counts) == {0, 1}
     assert abs(counts[0] - 1500) < 140
 
 
 def test_lwl_sees_work_at_decision_time():
-    pol, view, clear = _bound(LeastWorkLeft(), 2)
+    choose, clear = _lwl(2)
     clear[0] = 10.0
     clear[1] = 3.0
-    assert pol.choose(0.0, None) == 1
+    assert choose(0.0, None) == 1
     # by t=9.5 server 0 has 0.5 left, server 1 drained long ago
-    assert pol.choose(9.5, None) == 1
+    assert choose(9.5, None) == 1
 
 
 # ---------------------------------------------------------------------------
 # Multi-band card
 
 
-def _card(n=4, rho=0.75, m=(1.0, 2.0, 4.0, 8.0)):
+def _card(seed=0, n=4, rho=0.75, m=(1.0, 2.0, 4.0, 8.0)):
     scale = 1.0 / math.sqrt(1.0 - rho)
     th = CardThresholds(m=m, c=tuple(x * scale for x in m[:-1]))
-    return MultiBandCard(th)
+    clear = [0.0] * n
+    return multi_band_card(clear, 0, n, 1.0, policy_rng(seed, 0), th), clear
 
 
 def test_card_small_task_goes_to_least_loaded():
-    pol, view, clear = _bound(_card(), 4, seed=2)
-    for j, w in enumerate((3.0, 1.0, 7.0, 5.0)):
-        clear[j] = w
-    assert pol.choose(0.0, 0.5) == 1  # size < m1 -> least loaded
+    choose, clear = _card(seed=2)
+    clear[:] = (3.0, 1.0, 7.0, 5.0)
+    assert choose(0.0, 0.5) == 1  # size < m1 -> least loaded
 
 
 def test_card_huge_task_goes_to_most_loaded():
-    pol, view, clear = _bound(_card(), 4, seed=2)
-    for j, w in enumerate((3.0, 1.0, 7.0, 5.0)):
-        clear[j] = w
-    assert pol.choose(0.0, 8.0) == 2  # size >= m_n -> most loaded
-    assert pol.choose(0.0, 50.0) == 2
+    choose, clear = _card(seed=2)
+    clear[:] = (3.0, 1.0, 7.0, 5.0)
+    assert choose(0.0, 8.0) == 2  # size >= m_n -> most loaded
+    assert choose(0.0, 50.0) == 2
 
 
 def test_card_band_prefers_rank_then_spills():
     # m = (1,2,4,8); c = m/sqrt(0.25) = (2,4,8)
-    pol, view, clear = _bound(_card(), 4, seed=2)
-    works = (0.0, 3.0, 6.0, 20.0)
-    for j, w in enumerate(works):
-        clear[j] = w
+    choose, clear = _card(seed=2)
+    clear[:] = (0.0, 3.0, 6.0, 20.0)
     # size 1.5 falls in band 1 [m1, m2); rank-1 server is 0 with W=0 <= c1=2
-    assert pol.choose(0.0, 1.5) == 0
+    assert choose(0.0, 1.5) == 0
     # size 2.5 -> band 2 [m2, m3); rank-2 server is 1 with W=3 <= c2=4
-    assert pol.choose(0.0, 2.5) == 1
+    assert choose(0.0, 2.5) == 1
     # now overload rank-2: W=5 > c2=4 spills to rank-3 (server 2)
     clear[1] = 5.0
-    assert pol.choose(0.0, 2.5) == 2
+    assert choose(0.0, 2.5) == 2
 
 
 def test_card_every_size_maps_to_valid_server():
-    pol, view, clear = _bound(_card(), 4, seed=11)
+    choose, clear = _card(seed=11)
     rng = np.random.default_rng(0)
     for _ in range(500):
-        for j in range(4):
-            clear[j] = float(rng.uniform(0, 10))
+        clear[:] = rng.uniform(0, 10, 4).tolist()
         size = float(rng.lognormal(0, 2))
-        assert 0 <= pol.choose(float(rng.uniform(0, 5)), size) < 4
+        assert 0 <= choose(float(rng.uniform(0, 5)), size) < 4
 
 
 def test_card_ties_randomized_by_permutation():
@@ -226,23 +182,26 @@ def test_card_ties_randomized_by_permutation():
     # so the bottom rank should be uniform over servers
     counts = Counter()
     for seed in range(2000):
-        pol, view, clear = _bound(_card(), 4, seed=seed)
-        counts[pol.choose(0.0, 0.5)] += 1
+        choose, _ = _card(seed=seed)
+        counts[choose(0.0, 0.5)] += 1
     assert set(counts) == {0, 1, 2, 3}
     for c in counts.values():
         assert abs(c - 500) < 110
 
 
 def test_card_requires_size():
-    pol, _, _ = _bound(_card(), 4)
+    choose, _ = _card()
     with pytest.raises(RuntimeError, match="without a size"):
-        pol.choose(0.0, None)
+        choose(0.0, None)
 
 
 def test_card_thresholds_must_match_stage_width():
-    view, _ = _view(3)
-    with pytest.raises(ValueError, match="stage has 3"):
-        _card().bind(view, policy_rng(0, 0))
+    # a card stage is the whole cluster, so run's cluster check guards the
+    # stage width before any chooser is built
+    th = CardThresholds(m=(1.0, 2.0, 4.0, 8.0), c=(2.0, 4.0, 8.0))
+    wl = Workload.from_tasks([0], [0.0], [0], [1.0])
+    with pytest.raises(ValueError, match="thresholds are for 4 servers, cluster has 3"):
+        run(wl, ClusterConfig.synthetic(3, 0.5), parse_policy("card", thresholds=th), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +266,15 @@ def test_card_matches_sorted_reference(state, data):
                            min_size=n - 1, max_size=n - 1))
     sizes = data.draw(st.lists(st.floats(min_value=0.0, max_value=12.0),
                                min_size=1, max_size=5))
-    pol = MultiBandCard(CardThresholds(m=tuple(m), c=tuple(c)))
-    pol.bind(StageView(clear, offset, n, speed), policy_rng(seed, 0))
+    rng = policy_rng(seed, 0)
+    choose = multi_band_card(clear, offset, n, speed, rng, CardThresholds(m=tuple(m), c=tuple(c)))
     for size in sizes:
-        clone = copy.deepcopy(pol.rng)
-        got = pol.choose(now, size)
+        clone = copy.deepcopy(rng)
+        got = choose(now, size)
         tie = clone.permutation(n)
         assert type(got) is int
         assert got == _ref_card(_ref_work(clear, offset, n, speed, now), tie, m, c, size)
-        assert _same_stream_position(pol.rng, clone)  # exactly one permutation draw
+        assert _same_stream_position(rng, clone)  # exactly one permutation draw
 
 
 @given(_backlog_states())
@@ -327,10 +286,9 @@ def test_lwl_matches_reference(state):
     n, offset, now, clear, speed, seed = state
     rng = policy_rng(seed, 0)
     clone = copy.deepcopy(rng)
-    pol = LeastWorkLeft()
-    pol.bind(StageView(clear, offset, n, speed), rng)
+    choose = least_work_left(clear, offset, n, speed, rng)
     work = _ref_work(clear, offset, n, speed, now)
-    got = [pol.choose(now, None) for _ in range(2100)]
+    got = [choose(now, None) for _ in range(2100)]
     assert got == [_ref_lwl(work, clone) for _ in range(2100)]
 
 
@@ -345,9 +303,9 @@ def test_lwl_ties_on_equal_products_not_equal_clear_times():
     assert (c_early - now) * speed == (c_late - now) * speed
     picks = set()
     for seed in range(200):
-        pol, view, clear = _bound(LeastWorkLeft(), 3, seed=seed, speed=speed)
+        choose, clear = _lwl(3, seed=seed, speed=speed)
         clear[:] = [c_late, c_early, 5.0]
-        picks.add(pol.choose(now, None))
+        picks.add(choose(now, None))
     assert picks == {0, 1}
 
 
@@ -414,15 +372,3 @@ def test_validate_for_cluster():
     card.validate_for(2)
     with pytest.raises(ValueError):
         card.validate_for(3)
-
-
-def test_build_policy_dispatch_table():
-    assert isinstance(build_policy("rr"), RoundRobin)
-    assert isinstance(build_policy("jiq"), JoinIdleQueue)
-    assert isinstance(build_policy("lwl"), LeastWorkLeft)
-    th = CardThresholds(m=(1.0,), c=())
-    assert isinstance(build_policy("card", th), MultiBandCard)
-    with pytest.raises(ValueError):
-        build_policy("card")
-    with pytest.raises(ValueError):
-        build_policy("bogus")
