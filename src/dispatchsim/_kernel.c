@@ -1,0 +1,225 @@
+/* The dispatch-order FCFS recursion of `engine.run` for one stage under rr,
+ * lwl or card, compiled on first use by `dispatchsim.kernel`.
+ *
+ * Each function dispatches tasks k..T-1 of a stage of servers
+ * offset..offset+count-1: task k is ready at arr[k] and needs req[k]. It
+ * picks a server g as the Python chooser in `policies.py` would, then takes
+ * the FCFS step of `engine._fcfs`: c += r/speed if the task joins g's busy
+ * period, else c = a + r/speed. It writes done[k] and where[k] and updates
+ * clear[g], busy[g] and since[g] in place.
+ *
+ * Output must be bit-identical to the Python path, so build with -O2
+ * -ffp-contract=off and never with -ffast-math or -march=native: contracting
+ * a*b+c into an FMA or reassociating a sum changes the last bit.
+ *
+ * Tie-breaks read `halves`, the policy stream's 64-bit words split into
+ * their low then high 32-bit halves, from index *pos on: the order in which
+ * numpy's generator hands out 32-bit draws. lwl maps one half to an index by
+ * Lemire's method (ACM TOMACS 2019), as `randomness.UniformIndex` does; card
+ * replays `Generator.permutation(count)`. A dispatch that runs out of halves
+ * returns its own index with *pos at its first draw and leaves all state as
+ * it was; the caller appends halves and calls again from that index.
+ */
+
+#include <stddef.h>
+#include <stdint.h>
+
+static void serve(ptrdiff_t k, ptrdiff_t g, double a, double r, double speed,
+                  double *clear, double *busy, double *since, double *done, ptrdiff_t *where)
+{
+    double c = clear[g];
+    if (a <= c) { /* joins the busy period */
+        c += r / speed;
+    } else { /* the previous busy period closed at c */
+        busy[g] += c - since[g];
+        since[g] = a;
+        c = a + r / speed;
+    }
+    clear[g] = c;
+    done[k] = c;
+    where[k] = g;
+}
+
+/* Unfinished work of a server whose backlog empties at `clear`. */
+static double backlog(double clear, double now, double speed)
+{
+    double gap = clear - now;
+    return gap > 0.0 ? gap * speed : 0.0;
+}
+
+/* A uniform index in [0, k), k >= 2, as `rng.integers(k)` draws it. */
+static int uniform(uint32_t k, const uint32_t *halves, ptrdiff_t len, ptrdiff_t *p, uint32_t *out)
+{
+    if (*p >= len)
+        return 0;
+    uint64_t m = (uint64_t)halves[(*p)++] * k;
+    if ((uint32_t)m < k) {
+        uint32_t floor = (uint32_t)(0 - k) % k;
+        while ((uint32_t)m < floor) {
+            if (*p >= len)
+                return 0;
+            m = (uint64_t)halves[(*p)++] * k;
+        }
+    }
+    *out = (uint32_t)(m >> 32);
+    return 1;
+}
+
+/* `rng.permutation(count)`: Fisher-Yates from i = count-1 down to 1, each
+ * step drawing masked halves until one is <= i. */
+static int permutation(ptrdiff_t *perm, ptrdiff_t count, const uint32_t *halves,
+                       ptrdiff_t len, ptrdiff_t *p)
+{
+    for (ptrdiff_t j = 0; j < count; j++)
+        perm[j] = j;
+    for (ptrdiff_t i = count - 1; i > 0; i--) {
+        uint32_t mask = (uint32_t)i, v;
+        mask |= mask >> 1;
+        mask |= mask >> 2;
+        mask |= mask >> 4;
+        mask |= mask >> 8;
+        mask |= mask >> 16;
+        do {
+            if (*p >= len)
+                return 0;
+            v = halves[(*p)++] & mask;
+        } while (v > (uint32_t)i);
+        ptrdiff_t t = perm[i];
+        perm[i] = perm[v];
+        perm[v] = t;
+    }
+    return 1;
+}
+
+void dispatch_rr(ptrdiff_t T, const double *arr, const double *req, ptrdiff_t offset,
+                 ptrdiff_t count, double speed, double *clear, double *busy, double *since,
+                 double *done, ptrdiff_t *where)
+{
+    for (ptrdiff_t k = 0; k < T; k++)
+        serve(k, offset + k % count, arr[k], req[k], speed, clear, busy, since, done, where);
+}
+
+/* `least_work_left`: the least backlog, ties uniform over the minimizers in
+ * server order. `ties` has room for count indices. */
+ptrdiff_t dispatch_lwl(ptrdiff_t T, const double *arr, const double *req, ptrdiff_t offset,
+                       ptrdiff_t count, double speed, double *clear, double *busy,
+                       double *since, double *done, ptrdiff_t *where, ptrdiff_t k,
+                       const uint32_t *halves, ptrdiff_t len, ptrdiff_t *pos, ptrdiff_t *ties)
+{
+    const double *stage = clear + offset;
+    for (; k < T; k++) {
+        double a = arr[k], best = backlog(stage[0], a, speed);
+        ptrdiff_t tied = 1;
+        ties[0] = 0;
+        for (ptrdiff_t j = 1; j < count; j++) {
+            double w = backlog(stage[j], a, speed);
+            if (w < best) {
+                best = w;
+                ties[0] = j;
+                tied = 1;
+            } else if (w == best) {
+                ties[tied++] = j;
+            }
+        }
+        ptrdiff_t j = ties[0], p = *pos;
+        if (tied > 1) {
+            uint32_t u;
+            if (!uniform((uint32_t)tied, halves, len, &p, &u))
+                return k;
+            *pos = p;
+            j = ties[u];
+        }
+        serve(k, offset + j, a, req[k], speed, clear, busy, since, done, where);
+    }
+    return T;
+}
+
+/* Whether server x ranks before server y: by backlog, ties by rank in the
+ * permutation, as `np.lexsort((tie, work))` orders them. */
+static int before(ptrdiff_t x, ptrdiff_t y, const double *work, const ptrdiff_t *tie)
+{
+    return work[x] < work[y] || (work[x] == work[y] && tie[x] < tie[y]);
+}
+
+/* Reorder idx[0..n) so idx[r] is the server of rank r and every later
+ * position holds a server of higher rank (Hoare's selection). */
+static ptrdiff_t select_rank(ptrdiff_t *idx, ptrdiff_t n, ptrdiff_t r, const double *work,
+                             const ptrdiff_t *tie)
+{
+    ptrdiff_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        ptrdiff_t pivot = idx[lo + (hi - lo) / 2], i = lo, j = hi;
+        while (i <= j) {
+            while (before(idx[i], pivot, work, tie))
+                i++;
+            while (before(pivot, idx[j], work, tie))
+                j--;
+            if (i <= j) {
+                ptrdiff_t t = idx[i];
+                idx[i++] = idx[j];
+                idx[j--] = t;
+            }
+        }
+        if (r <= j)
+            hi = j;
+        else if (r >= i)
+            lo = i;
+        else
+            break;
+    }
+    return idx[r];
+}
+
+/* The first of idx[0..n) in rank order (last = 0), or the last (last = 1). */
+static ptrdiff_t extreme(const ptrdiff_t *idx, ptrdiff_t n, int last, const double *work,
+                         const ptrdiff_t *tie)
+{
+    ptrdiff_t best = idx[0];
+    for (ptrdiff_t i = 1; i < n; i++)
+        if (last ? before(best, idx[i], work, tie) : before(idx[i], best, work, tie))
+            best = idx[i];
+    return best;
+}
+
+/* `multi_band_card`: a task of size s below m[0] goes to rank 0, one at or
+ * above m[count-1] to rank count-1, else to rank b-1 with b = bisect_right(m,
+ * s), spilling to rank b if that server's backlog exceeds cut[b-1]. `work`,
+ * `tie` and `idx` have room for count entries; m holds count boundaries. */
+ptrdiff_t dispatch_card(ptrdiff_t T, const double *arr, const double *req, ptrdiff_t offset,
+                        ptrdiff_t count, double speed, double *clear, double *busy,
+                        double *since, double *done, ptrdiff_t *where, ptrdiff_t k,
+                        const uint32_t *halves, ptrdiff_t len, ptrdiff_t *pos,
+                        const double *size, const double *m, const double *cut, double *work,
+                        ptrdiff_t *tie, ptrdiff_t *idx)
+{
+    for (; k < T; k++) {
+        double a = arr[k], s = size[k];
+        for (ptrdiff_t j = 0; j < count; j++) {
+            work[j] = backlog(clear[offset + j], a, speed);
+            idx[j] = j;
+        }
+        ptrdiff_t p = *pos, j;
+        if (!permutation(tie, count, halves, len, &p))
+            return k;
+        *pos = p;
+        if (s < m[0]) {
+            j = extreme(idx, count, 0, work, tie);
+        } else if (s >= m[count - 1]) {
+            j = extreme(idx, count, 1, work, tie);
+        } else {
+            ptrdiff_t band = 0, hi = count; /* bisect_right */
+            while (band < hi) {
+                ptrdiff_t mid = band + (hi - band) / 2;
+                if (s < m[mid])
+                    hi = mid;
+                else
+                    band = mid + 1;
+            }
+            j = select_rank(idx, count, band - 1, work, tie);
+            if (!(work[j] <= cut[band - 1]))
+                j = extreme(idx + band, count - band, 0, work, tie);
+        }
+        serve(k, offset + j, a, req[k], speed, clear, busy, since, done, where);
+    }
+    return T;
+}

@@ -25,13 +25,22 @@ stage-1 completion. `_PopOrder` walks these chains back to settle each tie:
   * a jiq server drains at its `clear` instant unless its next dispatch pops
     first; a lazy heap replays the drains before each choice.
 
-`clear[g]`, in one engine-owned list over global servers, is the instant
-server g's backlog empties; lwl and card read each stage's slice of it at
-every choice. Two-stage: a task of size s first occupies a stage-0 server for
-min(s, theta); if s > theta it transfers at the truncation instant and
-restarts from scratch, needing the full s, on a stage-1 server chosen by an
-independent instance of the same policy kind. Under a horizon, `clear`
-keeps chaining past it and only completions at or before it are recorded.
+Two paths compute the recursion and give the same bytes. For rr, lwl and
+card, `stage()` hands each stage to the compiled kernel (`kernel.py` builds
+`_kernel.c` with gcc on first use): one C loop per kind picks the server as
+`policies.py` would, drawing the same tie-breaks from the same policy
+stream, and takes the FCFS step. Without a compiler, and always for jiq,
+`_fcfs` runs the recursion over a Python chooser; the tests use that path as
+the kernel's oracle. The pop-order ties above stay in Python on both paths.
+
+`clear[g]`, in one engine-owned list (an array on the kernel path) over
+global servers, is the instant server g's backlog empties; lwl and card read
+each stage's slice of it at every choice. Two-stage: a task of size s first
+occupies a stage-0 server for min(s, theta); if s > theta it transfers at the
+truncation instant and restarts from scratch, needing the full s, on a
+stage-1 server chosen by an independent instance of the same policy kind.
+Under a horizon, `clear` keeps chaining past it and only completions at or
+before it are recorded.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from itertools import cycle, repeat
 
 import numpy as np
 
+from . import kernel
 from .policies import JoinIdleQueue, PolicySpec, least_work_left, multi_band_card
 from .randomness import policy_rng
 from .workload import ClusterConfig, Workload
@@ -204,13 +214,15 @@ class _PopOrder:
                 return rank_e < rank_f
 
 
-def _jiq_choose(pol, order, s, offset, clear):
-    """`choose(a, size)` for stage s under JIQ. A lazy heap holds (clear,
-    server) for each busy server, with `clear` as of its push; a server whose
-    `clear` has moved since is pushed again. Before each choice the previous
-    dispatch leaves the idle table, and the servers that drain before the
-    dispatch pops (stage 0: clear < a; stage 1: also clear == a when the last
-    completion pops first) join it, same-instant drains in pop order."""
+def _jiq_choose(pol, order, s, offset, count, clear):
+    """`choose(a)`: the global server of stage s's next dispatch under JIQ,
+    checked to lie in the stage and appended to `order.where[s]`. A lazy heap
+    holds (clear, server) for each busy server, with `clear` as of its push; a
+    server whose `clear` has moved since is pushed again. Before each choice
+    the previous dispatch leaves the idle table, and the servers that drain
+    before the dispatch pops (stage 0: clear < a; stage 1: also clear == a
+    when the last completion pops first) join it, same-instant drains in pop
+    order."""
     done, where = order.done[s], order.where[s]
     heap, pushed = [], [False] * len(clear)
     assign, idle, choose_idle = pol.on_assign, pol.on_server_idle, pol.choose
@@ -233,7 +245,7 @@ def _jiq_choose(pol, order, s, offset, clear):
             pushed[g] = False
             idle(g - offset)
 
-    def choose(a, size):
+    def choose(a):
         if where:  # the previous dispatch has completed its recursion step
             g = where[-1]
             assign(g - offset)
@@ -253,7 +265,11 @@ def _jiq_choose(pol, order, s, offset, clear):
                 idle(g - offset)
         if heap and (heap[0][0] < a or s and heap[0][0] == a):
             drain(a)
-        return choose_idle()
+        j = choose_idle()
+        if not 0 <= j < count:
+            raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
+        where.append(g := offset + j)
+        return g
     return choose
 
 
@@ -283,32 +299,39 @@ def run(
     stop = math.inf if horizon is None else horizon
     T = len(task_size)
     D = int(np.searchsorted(task_arrival, stop, side="right"))  # dispatched
-    clear, busy, since = [0.0] * n, [0.0] * n, [0.0] * n
+    lib = kernel.load() if policy.kind != "jiq" else None
+    clear, busy, since = np.zeros((3, n)) if lib else ([0.0] * n for _ in range(3))
     order = _PopOrder(task_arrival[:D])  # an array: a list held to the end slowed rr ~5%
 
     def stage(arr, sizes, req, offset, count, s):
         """Stage s's completions and global servers, in dispatch order."""
-        req = req.tolist()
+        if lib:
+            return lib.stage(policy.kind, arr, req, sizes, offset, count, speed, clear, busy,
+                             since, policy_rng(seed, s), policy.thresholds)
+        arr, req = arr.tolist(), req.tolist()
         if policy.kind == "rr":
             picks = cycle(range(offset, offset + count))
             done = _fcfs(arr, req, picks, clear, busy, since, speed)
             return np.fromiter(done, np.float64, len(arr)), offset + np.arange(len(arr)) % count
-        rng, where = policy_rng(seed, s), []
+        rng = policy_rng(seed, s)
         if policy.kind == "jiq":
             where = order.where[s]
-            choose = _jiq_choose(JoinIdleQueue(count, rng), order, s, offset, clear)
-        elif policy.kind == "lwl":
-            choose = least_work_left(clear, offset, count, speed, rng)
+            picks = map(_jiq_choose(JoinIdleQueue(count, rng), order, s, offset, count, clear),
+                        arr)
         else:
-            choose = multi_band_card(clear, offset, count, speed, rng, policy.thresholds)
+            where = []
+            if policy.kind == "lwl":
+                choose = least_work_left(clear, offset, count, speed, rng)
+            else:
+                choose = multi_band_card(clear, offset, count, speed, rng, policy.thresholds)
 
-        def pick(a, size):
-            j = choose(a, size)
-            if not 0 <= j < count:
-                raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
-            where.append(g := offset + j)
-            return g
-        picks = map(pick, arr, sizes.tolist() if policy.kind == "card" else repeat(None))
+            def pick(a, size):
+                j = choose(a, size)
+                if not 0 <= j < count:
+                    raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
+                where.append(g := offset + j)
+                return g
+            picks = map(pick, arr, sizes.tolist() if policy.kind == "card" else repeat(None))
         done = np.fromiter(_fcfs(arr, req, picks, clear, busy, since, speed), np.float64, len(arr))
         if policy.kind == "jiq" and where:
             order.done[s].append(clear[where[-1]])
@@ -316,7 +339,7 @@ def run(
 
     size = task_size[:D]
     req = np.minimum(size, theta)
-    done0, where0 = stage(task_arrival[:D].tolist(), size, req, 0, n1, 0)
+    done0, where0 = stage(task_arrival[:D], size, req, 0, n1, 0)
     moved = np.flatnonzero((size > theta) & (done0 <= stop))
     moved = moved[np.argsort(done0[moved], kind="stable")]
     at = done0[moved]  # transfer instants; stage-1 dispatch order once ties are sorted
@@ -329,7 +352,7 @@ def run(
     done1, where1 = done0[:0], where0[:0]
     if len(moved):
         order.ready[1], order.moved = at, moved
-        done1, where1 = stage(at.tolist(), task_size[moved], task_size[moved], n1, n - n1, 1)
+        done1, where1 = stage(at, task_size[moved], task_size[moved], n1, n - n1, 1)
         prev = _previous(where1)
         tied = np.flatnonzero((prev >= 0) & (at == done1[prev]))
         if len(tied):  # re-sum the busy integral of every server a tie splits

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from heapq import heappop, heappush
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_engine import run_reference
 
-from dispatchsim import engine
+from dispatchsim import engine, kernel
 from dispatchsim.analysis import CardThresholds, WeibullDistribution, card_thresholds
 from dispatchsim.engine import run
 from dispatchsim.policies import JoinIdleQueue, least_work_left, parse_policy
@@ -274,9 +275,11 @@ def test_infinite_theta_matches_single_stage_bit_for_bit():
 
 
 def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
-    # the recursion calls choose() per dispatch and checks its answer; rr's
-    # precomputed servers never are out of range
+    # the Python recursion calls choose() per dispatch and checks its answer;
+    # rr's precomputed servers never are out of range. The compiled kernel
+    # never calls least_work_left, so it is unloaded here
     wl = _wl([(0, 0.0, [1.0])])
+    monkeypatch.setattr(kernel, "load", lambda: None)
     monkeypatch.setattr(engine, "least_work_left", lambda *stage: lambda now, size: 5)
     with pytest.raises(RuntimeError, match="outside stage"):
         run(wl, _cfg(2, 1.0), _policy("lwl"), seed=0)
@@ -284,8 +287,9 @@ def test_out_of_range_policy_choice_is_an_engine_error(monkeypatch):
 
 def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
     # only the stage-1 chooser (offset n1 = 1) answers out of range; the
-    # recursion's stage-1 pass checks it
+    # recursion's stage-1 pass checks it (the Python path, as above)
     wl = _wl([(0, 0.0, [3.0])])
+    monkeypatch.setattr(kernel, "load", lambda: None)
     monkeypatch.setattr(engine, "least_work_left", lambda clear, offset, *rest: (
         (lambda now, size: 5) if offset else least_work_left(clear, offset, *rest)))
     with pytest.raises(RuntimeError, match="outside stage of size 1"):
@@ -387,16 +391,35 @@ def _check_against_event_loop(case, seed):
     _assert_same_log(fast, loop)
 
 
+@pytest.fixture(scope="module", params=["kernel", "python"])
+def recursion_path(request):
+    """The path `run` takes for rr, lwl and card: the compiled kernel, or the
+    Python loop with the kernel unloaded. Enter it with `_on_path`."""
+    if request.param == "kernel" and kernel.load() is None:
+        pytest.skip("no C compiler to build the kernel")
+    return request.param
+
+
+@contextmanager
+def _on_path(path):
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "python":
+            patch.setattr(kernel, "load", lambda: None)
+        yield
+
+
 @given(_recursion_cases(["rr"]), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_rr_recursion_matches_event_loop(case, seed):
-    _check_against_event_loop(case, seed)
+def test_rr_recursion_matches_event_loop(recursion_path, case, seed):
+    with _on_path(recursion_path):
+        _check_against_event_loop(case, seed)
 
 
 @given(_recursion_cases(["lwl", "card"]), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_lwl_and_card_recursion_matches_event_loop(case, seed):
-    _check_against_event_loop(case, seed)
+def test_lwl_and_card_recursion_matches_event_loop(recursion_path, case, seed):
+    with _on_path(recursion_path):
+        _check_against_event_loop(case, seed)
 
 
 @given(_recursion_cases(["jiq"]), st.integers(0, 2**32 - 1))

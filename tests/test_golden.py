@@ -7,13 +7,15 @@ L against the pinned values. Each engine case hashes every `CompletionLog`
 array plus `end_time` and `transfers` of one `run` on either a quantized
 multi-task workload (integer arrivals and sizes, speed 1, so arrivals,
 completions and transfers share instants) or a continuous one, drained or
-stopped at a horizon. The orchestration case runs `sweep` (synthetic and
-trace plans over all seven labels, at 1 and 2 workers), `optimize-two-stage`,
-`card-thresholds`, `ingest-trace` (also on a trace whose rows interleave
-jobs and whose arrivals tie) and trace-driven `simulate` from one working
-directory and hashes each command's stdout and files. A refactor that claims
-byte identity must leave this file unchanged; a change that moves a digest on
-purpose re-pins it and says why in CHANGES.md. Print the current digests with
+stopped at a horizon; one more case recomputes every engine digest with the
+compiled kernel unloaded, on `engine.run`'s Python path. The orchestration
+case runs `sweep` (synthetic and trace plans over all seven labels, at 1 and
+2 workers), `optimize-two-stage`, `card-thresholds`, `ingest-trace` (also on
+a trace whose rows interleave jobs and whose arrivals tie) and trace-driven
+`simulate` from one working directory and hashes each command's stdout and
+files. A refactor that claims byte identity must leave every digest in this
+file unchanged; a change that moves a digest on purpose re-pins it and says
+why in CHANGES.md. Print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dispatchsim import kernel
 from dispatchsim.analysis import EmpiricalDistribution, WeibullDistribution, card_thresholds
 from dispatchsim.cli import main
 from dispatchsim.engine import run
@@ -213,6 +216,13 @@ def _engine_digest(kind: str, label: str, horizon) -> str:
 @pytest.mark.parametrize("case", ENGINE_CASES, ids=["-".join(map(str, c)) for c in ENGINE_CASES])
 def test_engine_outputs_match_golden_digests(case):
     assert _engine_digest(*case) == ENGINE_CASES[case]
+
+
+def test_engine_goldens_hold_on_the_python_path(monkeypatch):
+    # with the compiled kernel unloaded, rr, lwl and card take engine.run's
+    # Python loop, which must give the same bytes
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert {case: _engine_digest(*case) for case in ENGINE_CASES} == ENGINE_CASES
 
 
 # Orchestration cases: each command runs from one working directory holding
