@@ -10,14 +10,10 @@ percent off at this modest sample size; the mean converges at a rate set
 by E[S^2], so the cov=4, rho=0.9 cell needs millions of jobs to settle.
 """
 
-import numpy as np
-
-from dispatchsim.analysis import WeibullDistribution, mg1_mean_response
-from dispatchsim.engine import run
-from dispatchsim.metrics import summarize_run
+from dispatchsim.analysis import mg1_mean_response
+from dispatchsim.metrics import DEFAULT_WARMUP_FRACTION, replicate_and_summarize
 from dispatchsim.policies import parse_policy
-from dispatchsim.randomness import replication_seed
-from dispatchsim.workload import ClusterConfig, fit_weibull, generate_poisson_weibull
+from dispatchsim.sweep import SyntheticSource
 
 # one server, unit-speed, unit mean size; vary the load and the tail weight
 jobs = 200_000
@@ -25,18 +21,14 @@ policy = parse_policy("lwl")  # every policy is identical when n = 1
 
 print(f"{'rho':>5} {'cov':>5} {'analytic':>10} {'simulated':>10} {'ratio':>7}")
 for cov in (1.0, 4.0):
-    params = fit_weibull(1.0, cov)
-    dist = WeibullDistribution(params)
+    src = SyntheticSource(cov)
     for rho in (0.5, 0.7, 0.9):
-        config = ClusterConfig.synthetic(n=1, target_rho=rho)
-        analytic = mg1_mean_response(dist, config.arrival_rate, config.total_capacity)
+        config = src.config(1, rho)
+        analytic = mg1_mean_response(src.distribution(), config.arrival_rate,
+                                     config.total_capacity)
 
-        # a couple of replications, each with its own derived seed
-        sims = []
-        for rep in range(3):
-            seed = replication_seed(7, rep)
-            wl = generate_poisson_weibull(config.arrival_rate, params, jobs, seed)
-            res = summarize_run(run(wl, config, policy, seed), baseline=dist)
-            sims.append(res.mrt_seconds)
-        sim = float(np.mean(sims))
+        # a few replications, each with its own derived seed
+        [summary] = replicate_and_summarize(src, config, [policy], rho, jobs, 7, 3,
+                                            DEFAULT_WARMUP_FRACTION)
+        sim = summary.mean_mrt_seconds
         print(f"{rho:>5.1f} {cov:>5.1f} {analytic:>10.3f} {sim:>10.3f} {sim / analytic:>7.3f}")

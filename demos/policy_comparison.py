@@ -8,36 +8,21 @@ additionally reads each task's size and keeps size classes apart. The gap
 between them widens dramatically once task sizes become heavy-tailed.
 """
 
-import numpy as np
-
-from dispatchsim.analysis import card_thresholds
-from dispatchsim.engine import run
-from dispatchsim.metrics import summarize_run
-from dispatchsim.policies import parse_policy
-from dispatchsim.randomness import replication_seed
-from dispatchsim.sweep import SyntheticSource
+from dispatchsim.metrics import DEFAULT_WARMUP_FRACTION, replicate_and_summarize
+from dispatchsim.sweep import SyntheticSource, single_stage_spec
 
 n, rho = 10, 0.8
 jobs, reps = 300_000, 2
+labels = ("rr", "jiq", "lwl", "card")
 
 for cov in (1.0, 10.0):
     src = SyntheticSource(cov)
-    config = src.config(n, rho)
     print(f"\nn={n}, rho={rho}, task size cov={cov:g} (normalized to M/G/1 on pooled capacity)")
     print(f"{'policy':>8} {'mrt':>10} {'normalized':>11}")
-    for label in ("rr", "jiq", "lwl", "card"):
-        if label == "card":
-            th = card_thresholds(src.distribution(), n, rho)
-            spec = parse_policy("card", thresholds=th)
-        else:
-            spec = parse_policy(label)
-        # common random numbers: the same replication seeds, hence the same
-        # arrivals and sizes, for every policy in the table
-        vals, norms = [], []
-        for rep in range(reps):
-            seed = replication_seed(11, rep)
-            wl = src.workload(n, rho, jobs, seed)
-            res = summarize_run(run(wl, config, spec, seed), baseline=src.baseline())
-            vals.append(res.mrt_seconds)
-            norms.append(res.normalized_mrt)
-        print(f"{label:>8} {np.mean(vals):>10.2f} {np.mean(norms):>11.4f}")
+    # common random numbers: every replication builds one workload (arrivals
+    # and sizes) and runs every policy in the table on it
+    specs = [single_stage_spec(label, src.distribution(), n, rho) for label in labels]
+    summaries = replicate_and_summarize(src, src.config(n, rho), specs, rho, jobs, 11, reps,
+                                        DEFAULT_WARMUP_FRACTION)
+    for label, s in zip(labels, summaries):
+        print(f"{label:>8} {s.mean_mrt_seconds:>10.2f} {s.mean_normalized_mrt:>11.4f}")

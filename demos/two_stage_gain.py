@@ -10,26 +10,19 @@ the effect; theta is parameterized by quantiles of the size law so the grid
 is meaningful at any tail weight.
 """
 
-from dispatchsim.sweep import SyntheticSource, optimize_two_stage
-from dispatchsim.engine import run
-from dispatchsim.metrics import replicate_and_summarize, summarize_run
+from dispatchsim.metrics import DEFAULT_WARMUP_FRACTION, replicate_and_summarize
 from dispatchsim.policies import parse_policy
+from dispatchsim.sweep import SyntheticSource, optimize_two_stage
 
 n, rho, cov = 10, 0.8, 10.0
 jobs, reps, base_seed = 200_000, 2, 11
 
 src = SyntheticSource(cov)
-config = src.config(n, rho)
 
 # single-stage round robin as the baseline to beat
-spec = parse_policy("rr")
-
-def one(rep, seed):
-    wl = src.workload(n, rho, jobs, seed)
-    return summarize_run(run(wl, config, spec, seed), baseline=src.baseline())
-
-single = replicate_and_summarize(one, base_seed, reps).mean_mrt_seconds
-print(f"single-stage rr: mrt={single:.1f}")
+[single] = replicate_and_summarize(src, src.config(n, rho), [parse_policy("rr")], rho, jobs,
+                                   base_seed, reps, DEFAULT_WARMUP_FRACTION)
+print(f"single-stage rr: mrt={single.mean_mrt_seconds:.1f}")
 
 # grid-search the truncation point and the first-tier size with paired seeds
 opt = optimize_two_stage(
@@ -44,6 +37,7 @@ for row in opt.table:
     print(f"{row['theta_quantile']:>9} {row['theta']:>8.3f} {row['n1']:>3} "
           f"{row['mrt_seconds']:>9.1f}")
 
-gain = 1.0 - opt.mean_mrt_seconds / single
+best = opt.summary.mean_mrt_seconds
+gain = 1.0 - best / single.mean_mrt_seconds
 print(f"\noptimum: theta={opt.theta:.3f} (q={opt.theta_quantile}), n1={opt.n1}, "
-      f"mrt={opt.mean_mrt_seconds:.1f}  ({gain:.0%} below single-stage rr)")
+      f"mrt={best:.1f}  ({gain:.0%} below single-stage rr)")

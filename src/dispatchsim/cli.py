@@ -27,6 +27,7 @@ from . import __version__
 from .analysis import EmpiricalDistribution, card_thresholds
 from .metrics import (
     DEFAULT_WARMUP_FRACTION,
+    replicate_and_summarize,
     result_row,
     summary_row,
     write_results_csv,
@@ -37,8 +38,7 @@ from .sweep import (
     DEFAULT_THETA_QUANTILES,
     RESULT_FIELDS_WITH_QUANTILE,
     SweepPlan,
-    _replicate,
-    _single_stage_spec,
+    single_stage_spec,
     default_n1_candidates,
     make_source,
     optimize_two_stage,
@@ -148,7 +148,7 @@ def _simulate_spec(args, dist, n, rho) -> PolicySpec:
         return PolicySpec(kind=kind, two_stage=True, n1=args.n1, theta=theta)
     if args.theta is not None or args.theta_quantile is not None or args.n1 is not None:
         raise ValueError("--theta/--theta-quantile/--n1 only apply to two_stage policies")
-    return _single_stage_spec(kind, dist, n, rho)
+    return single_stage_spec(kind, dist, n, rho)
 
 
 def _cmd_simulate(args) -> int:
@@ -164,8 +164,8 @@ def _cmd_simulate(args) -> int:
         wl = source.workload(args.n, None, args.jobs, 0)
         config = ClusterConfig.for_workload(args.n, args.mu, wl)
     spec = _simulate_spec(args, source.distribution(), args.n, config.target_rho)
-    summary = _replicate(source, config, spec, args.rho, args.jobs, args.seed, args.replications,
-                         args.warmup, task_log=args.task_log)
+    [summary] = replicate_and_summarize(source, config, [spec], args.rho, args.jobs, args.seed,
+                                        args.replications, args.warmup, task_log=args.task_log)
     rows = [result_row(r) for r in summary.results] + [summary_row(summary, args.seed)]
     if args.out:
         echo = {
@@ -236,9 +236,9 @@ def _cmd_optimize_two_stage(args) -> int:
     optimum = {
         "inner": opt.inner, "n": opt.n, "rho": opt.rho,
         "theta": opt.theta, "theta_quantile": opt.theta_quantile,
-        "n1": opt.n1, "mrt_seconds": opt.mean_mrt_seconds,
-        "normalized_mrt": opt.mean_normalized_mrt,
-        "ci_half_width": opt.ci_half_width,
+        "n1": opt.n1, "mrt_seconds": opt.summary.mean_mrt_seconds,
+        "normalized_mrt": opt.summary.mean_normalized_mrt,
+        "ci_half_width": opt.summary.ci_half_width,
     }
     if args.out:
         echo = {

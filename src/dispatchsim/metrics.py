@@ -4,7 +4,9 @@ A job's response time is the span from its arrival to the completion of its
 last task. Runs discard a warm-up prefix of jobs, counted by arrival ordinal
 so the same jobs are excluded under every policy (paired comparisons stay
 paired). Replication summaries report the mean of per-replication means with
-a Student-t 95% confidence half-width.
+a Student-t 95% confidence half-width. `replicate_and_summarize` is the one
+replication loop: each replication's workload is built once and every spec
+of a point runs on it (common random numbers).
 
 Results serialize to a fixed CSV schema
 
@@ -26,9 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .analysis import Distribution, normalized_mrt
-from .engine import CompletionLog
+from .engine import CompletionLog, run
 from .randomness import replication_seed
 from .workload import ClusterConfig
 
@@ -138,10 +141,8 @@ def summarize_replications(results) -> ReplicationSummary:
     mean = float(mrts.mean())
     half = None
     if len(results) >= 2:
-        from scipy.stats import t as student_t  # ~0.7 s to import: only when needed
-
         se = float(mrts.std(ddof=1)) / math.sqrt(len(results))
-        half = float(student_t.ppf(0.975, len(results) - 1) * se)
+        half = float(stdtrit(len(results) - 1, 0.975) * se)
     norms = [r.normalized_mrt for r in results]
     mean_norm = None
     if all(v is not None for v in norms):
@@ -154,15 +155,33 @@ def summarize_replications(results) -> ReplicationSummary:
     )
 
 
-def replicate_and_summarize(run_one, base_seed: int, replications: int) -> ReplicationSummary:
-    """Run `run_one(replication_index, derived_seed) -> RunResult` for each
-    replication with independent derived seeds, then summarize."""
+def replicate_and_summarize(source, config: ClusterConfig, specs, rho, jobs: int,
+                            base_seed: int, replications: int, warmup_fraction: float,
+                            task_log=None) -> list[ReplicationSummary]:
+    """One ReplicationSummary per spec, in spec order.
+
+    Replication r derives `replication_seed(base_seed, r)`, builds the
+    source's workload for that seed once, runs every spec on it and drops it,
+    so the specs are compared under common random numbers while only one
+    workload is held at a time. `task_log`, if given, receives the per-task
+    log of the first spec's replication 0.
+    """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    results = [
-        run_one(r, replication_seed(base_seed, r)) for r in range(replications)
-    ]
-    return summarize_replications(results)
+    baseline = source.baseline()
+    results: list[list[RunResult]] = [[] for _ in specs]
+    for r in range(replications):
+        rep_seed = replication_seed(base_seed, r)
+        wl = source.workload(config.n, rho, jobs, rep_seed)
+        for i, spec in enumerate(specs):
+            log = run(wl, config, spec, rep_seed)
+            results[i].append(summarize_run(log, warmup_fraction=warmup_fraction,
+                                            baseline=baseline, cov=source.cov_field))
+            if task_log and r == i == 0:
+                log.write_task_log(task_log)
+            del log
+        del wl
+    return [summarize_replications(rs) for rs in results]
 
 
 def _fmt(value) -> str:

@@ -11,9 +11,11 @@ Two-stage search evaluates a grid of theta quantiles x stage-0 sizes under
 the same paired workloads and returns the full grid plus the optimum; the
 optimum tie-breaks deterministically toward larger theta, then larger n1.
 
-Every command evaluates its points through `make_source` and `_replicate`.
-Pass workers=k (`sweep --workers k`) to spread sweep points over a process
-pool; results are identical to the serial order.
+Every command evaluates its points through `make_source` and
+`metrics.replicate_and_summarize`, which builds each replication's workload
+once and runs every spec of a point on it. Pass workers=k (`sweep --workers
+k`) to spread sweep points over a process pool; results are identical to the
+serial order.
 """
 
 from __future__ import annotations
@@ -30,15 +32,12 @@ from .analysis import (
     WeibullDistribution,
     card_thresholds,
 )
-from .engine import run
 from .metrics import (
     DEFAULT_WARMUP_FRACTION,
     RESULT_FIELDS,
-    RunResult,
+    ReplicationSummary,
     replicate_and_summarize,
     result_row,
-    summarize_replications,
-    summarize_run,
     summary_row,
     write_results_csv,
     write_results_json,
@@ -270,25 +269,10 @@ class SweepPlan:
         return out
 
 
-def _single_stage_spec(kind: str, dist: Distribution, n: int, rho: float) -> PolicySpec:
+def single_stage_spec(kind: str, dist: Distribution, n: int, rho: float) -> PolicySpec:
+    """The spec of single-stage `kind` at (n, rho); card gets its size bands."""
     thresholds = card_thresholds(dist, n, rho) if kind == "card" else None
     return PolicySpec(kind=kind, thresholds=thresholds)
-
-
-def _replicate(source, config, spec, rho, jobs, base_seed, replications, warmup_fraction,
-               task_log=None):
-    """Summary of `replications` runs of `spec` on the source's workloads;
-    `task_log`, if given, receives the per-task log of replication 0."""
-    baseline = source.baseline()
-
-    def run_one(rep: int, rep_seed: int) -> RunResult:
-        log = run(source.workload(config.n, rho, jobs, rep_seed), config, spec, rep_seed)
-        result = summarize_run(log, warmup_fraction=warmup_fraction, baseline=baseline,
-                               cov=source.cov_field)
-        if task_log and rep == 0:
-            log.write_task_log(task_log)
-        return result
-    return replicate_and_summarize(run_one, base_seed, replications)
 
 
 def _run_point(plan: SweepPlan, label: str, n: int, rho: float,
@@ -297,7 +281,7 @@ def _run_point(plan: SweepPlan, label: str, n: int, rho: float,
     (runs) and one aggregated row (summary)."""
     kind, two_stage = parse_label(label)
     if two_stage:
-        optimum = optimize_two_stage(
+        summary = optimize_two_stage(
             kind, n, rho, source,
             theta_quantiles=plan.theta_quantiles,
             n1_candidates=plan.n1_candidates,
@@ -305,13 +289,12 @@ def _run_point(plan: SweepPlan, label: str, n: int, rho: float,
             jobs=plan.jobs,
             base_seed=plan.base_seed,
             warmup_fraction=plan.warmup_fraction,
-        )
-        runs = [result_row(r) for r in optimum.best_results]
-        return runs, [summary_row(summarize_replications(optimum.best_results), plan.base_seed)]
-
-    spec = _single_stage_spec(kind, source.distribution(), n, rho)
-    summary = _replicate(source, source.config(n, rho), spec, rho, plan.jobs, plan.base_seed,
-                         plan.replications, plan.warmup_fraction)
+        ).summary
+    else:
+        spec = single_stage_spec(kind, source.distribution(), n, rho)
+        [summary] = replicate_and_summarize(source, source.config(n, rho), [spec], rho,
+                                            plan.jobs, plan.base_seed, plan.replications,
+                                            plan.warmup_fraction)
     return [result_row(r) for r in summary.results], [summary_row(summary, plan.base_seed)]
 
 
@@ -376,11 +359,8 @@ class TwoStageOptimum:
     theta: float
     theta_quantile: float
     n1: int
-    mean_mrt_seconds: float
-    mean_normalized_mrt: float | None
-    ci_half_width: float | None
+    summary: ReplicationSummary = field(repr=False)
     table: tuple[dict, ...] = field(repr=False)
-    best_results: tuple[RunResult, ...] = field(repr=False)
 
 
 def optimize_two_stage(
@@ -419,18 +399,14 @@ def optimize_two_stage(
     pairs = [
         (q, dist.quantile(q), n1) for q in theta_quantiles for n1 in candidates
     ]
-    table: list[dict] = []
-    best = None  # (mrt, -theta, -n1, summary, q, theta, n1)
-    for q, theta, n1 in pairs:
-        spec = PolicySpec(kind=inner, two_stage=True, n1=n1, theta=theta)
-        summary = _replicate(source, config, spec, rho, jobs, base_seed, replications,
-                             warmup_fraction)
-        table.append({**summary_row(summary, base_seed), "theta_quantile": q})
-        key = (summary.mean_mrt_seconds, -theta, -n1)
-        if best is None or key < best[0]:
-            best = (key, summary, q, theta, n1)
-
-    _key, summary, q, theta, n1 = best
+    specs = [PolicySpec(kind=inner, two_stage=True, n1=n1, theta=theta)
+             for _q, theta, n1 in pairs]
+    summaries = replicate_and_summarize(source, config, specs, rho, jobs, base_seed,
+                                        replications, warmup_fraction)
+    # min keeps the first of equal keys, i.e. grid order among exact ties
+    best = min(range(len(pairs)), key=lambda i: (summaries[i].mean_mrt_seconds,
+                                                 -pairs[i][1], -pairs[i][2]))
+    q, theta, n1 = pairs[best]
     return TwoStageOptimum(
         inner=inner,
         n=n,
@@ -438,11 +414,9 @@ def optimize_two_stage(
         theta=theta,
         theta_quantile=q,
         n1=n1,
-        mean_mrt_seconds=summary.mean_mrt_seconds,
-        mean_normalized_mrt=summary.mean_normalized_mrt,
-        ci_half_width=summary.ci_half_width,
-        table=tuple(table),
-        best_results=summary.results,
+        summary=summaries[best],
+        table=tuple({**summary_row(s, base_seed), "theta_quantile": pq}
+                    for (pq, _theta, _n1), s in zip(pairs, summaries)),
     )
 
 

@@ -237,18 +237,16 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.mu > 0:
-            raise ValueError("mu must be > 0")
+        for name in ("mu", "total_capacity", "arrival_rate", "mean_job_size"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         if not 0 < self.target_rho < 1:
             raise ValueError("target_rho must lie in (0, 1)")
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival_rate must be > 0")
-        if not self.mean_job_size > 0:
-            raise ValueError("mean_job_size must be > 0")
         if self.total_capacity != self.n * self.mu:
             raise ValueError("total_capacity must equal n * mu exactly")
         implied = self.arrival_rate * self.mean_job_size / self.total_capacity
-        if abs(implied - self.target_rho) > 1e-9 * max(1.0, self.target_rho):
+        # written so that a NaN load fails it
+        if not abs(implied - self.target_rho) <= 1e-9 * max(1.0, self.target_rho):
             raise ValueError(
                 f"inconsistent load: arrival_rate*mean/capacity = {implied!r} "
                 f"but target_rho = {self.target_rho!r}"
@@ -375,8 +373,8 @@ def generate_poisson_weibull(
     arrival order. Arrival gaps are drawn first, then all sizes, so the two
     vectors come from disjoint stretches of one counter-based stream.
     """
-    if not arrival_rate > 0:
-        raise ValueError("arrival_rate must be > 0")
+    if not 0 < arrival_rate < math.inf:
+        raise ValueError(f"arrival_rate must be finite and > 0, got {arrival_rate!r}")
     if job_count < 1:
         raise ValueError("job_count must be >= 1")
     rng = workload_rng(seed)

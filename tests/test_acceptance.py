@@ -29,10 +29,15 @@ from reference_engine import run_reference
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
 from dispatchsim.cli import main as cli_main
 from dispatchsim.engine import run
-from dispatchsim.metrics import replicate_and_summarize, summarize_run
+from dispatchsim.metrics import (
+    DEFAULT_WARMUP_FRACTION,
+    replicate_and_summarize,
+    summarize_replications,
+    summarize_run,
+)
 from dispatchsim.policies import parse_policy
 from dispatchsim.randomness import replication_seed
-from dispatchsim.sweep import SyntheticSource, optimize_two_stage
+from dispatchsim.sweep import SyntheticSource, optimize_two_stage, single_stage_spec
 from dispatchsim.workload import (
     ClusterConfig,
     _open_uniform,
@@ -56,20 +61,10 @@ def _report(num, checks):
 def _single_stage_means(labels, n, rho, cov, jobs, reps, base_seed):
     """Mean MRT per policy label, common random numbers across labels."""
     src = SyntheticSource(cov)
-    config = src.config(n, rho)
-    out = {}
-    for label in labels:
-        if label == "card":
-            spec = parse_policy("card", thresholds=card_thresholds(src.distribution(), n, rho))
-        else:
-            spec = parse_policy(label)
-
-        def one(rep, seed, spec=spec):
-            wl = src.workload(n, rho, jobs, seed)
-            return summarize_run(run(wl, config, spec, seed), baseline=src.baseline())
-
-        out[label] = replicate_and_summarize(one, base_seed, reps).mean_mrt_seconds
-    return out
+    specs = [single_stage_spec(label, src.distribution(), n, rho) for label in labels]
+    summaries = replicate_and_summarize(src, src.config(n, rho), specs, rho, jobs, base_seed,
+                                        reps, DEFAULT_WARMUP_FRACTION)
+    return {label: s.mean_mrt_seconds for label, s in zip(labels, summaries)}
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +77,16 @@ def test_criterion_01_mm1_oracle():
     src = SyntheticSource(1.0)
     config = src.config(n, rho)
     spec = parse_policy("lwl")
-    walls = []
-
-    def one(rep, seed):
+    results, walls = [], []
+    for rep in range(reps):  # its own loop: each replication is timed
+        seed = replication_seed(base, rep)
         t0 = time.perf_counter()
         wl = src.workload(n, rho, jobs, seed)
         res = summarize_run(run(wl, config, spec, seed), baseline=src.baseline())
         walls.append(time.perf_counter() - t0)
         assert res.job_count >= 1_000_000
-        return res
-
-    summary = replicate_and_summarize(one, base, reps)
-    norm = summary.mean_normalized_mrt
+        results.append(res)
+    norm = summarize_replications(results).mean_normalized_mrt
 
     # all four policies must route identically when there is only one server
     wl = src.workload(n, rho, 50_000, replication_seed(base, 0))
@@ -118,18 +111,9 @@ def test_criterion_02_pk_heavy_tail_oracle():
     # must sit within the wide 1.00 +/- 0.10 band (E[S^2]=101 converges slowly).
     n, rho, jobs, reps, base = 1, 0.8, 1_111_112, 10, 2024
     src = SyntheticSource(10.0)
-    config = src.config(n, rho)
-    spec = parse_policy("lwl")
-    measured = 0
-
-    def one(rep, seed):
-        nonlocal measured
-        wl = src.workload(n, rho, jobs, seed)
-        res = summarize_run(run(wl, config, spec, seed), baseline=src.baseline())
-        measured += res.job_count
-        return res
-
-    summary = replicate_and_summarize(one, base, reps)
+    [summary] = replicate_and_summarize(src, src.config(n, rho), [parse_policy("lwl")], rho, jobs,
+                                        base, reps, DEFAULT_WARMUP_FRACTION)
+    measured = sum(r.job_count for r in summary.results)
     norm = summary.mean_normalized_mrt
     _report(2, [
         (measured >= 10_000_000, f"{measured} jobs aggregated >= 1e7"),
@@ -222,7 +206,7 @@ def test_criterion_06_two_stage_gain():
     opt = {
         inner: optimize_two_stage(inner, n, rho, src, theta_quantiles=quantiles,
                                   n1_candidates=n1s, replications=reps, jobs=jobs,
-                                  base_seed=base).mean_mrt_seconds
+                                  base_seed=base).summary.mean_mrt_seconds
         for inner in ("rr", "jiq", "lwl")
     }
     rr_gain = 1.0 - opt["rr"] / singles["rr"]

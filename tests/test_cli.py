@@ -106,6 +106,21 @@ def test_sizes_summing_past_float64_are_an_error(tmp_path, capsys):
                                  "--n", "2", "--rho", "0.5", "--seed", "1"))
 
 
+def test_non_finite_capacity_is_an_error(tmp_path, capsys):
+    _assert_one_error_line(*_run(capsys, "simulate", "--policy", "lwl", "--n", "3", "--rho", "0.5",
+                                 "--cov", "10", "--jobs", "50", "--seed", "1", "--capacity", "inf"))
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"policies": ["rr"], "n_values": [2], "rho_values": [0.5], '
+                    '"cov_values": [1.0], "jobs": 50, "replications": 1, '
+                    '"total_capacity": 1e400}')
+    _assert_one_error_line(*_run(capsys, "sweep", "--plan", str(plan)))
+    out = tmp_path / "w.csv"
+    _assert_one_error_line(*_run(capsys, "gen-workload", "--jobs", "50", "--cov", "1",
+                                 "--rho", "0.5", "--seed", "1", "--capacity", "inf",
+                                 "--out", str(out)))
+    assert not out.exists()
+
+
 def test_ingest_trace_reports_line_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("job_id,arrival_time,task_index,size\n1,0.0,0,-1\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dispatchsim.metrics import (
 )
 from dispatchsim.policies import parse_policy
 from dispatchsim.randomness import replication_seed
+from dispatchsim.sweep import SyntheticSource
 from dispatchsim.workload import ClusterConfig, fit_weibull, generate_poisson_weibull
 
 
@@ -134,17 +136,29 @@ def test_summary_normalized_mean_when_all_present():
 
 
 def test_replicate_and_summarize_derives_distinct_seeds():
-    seen = []
-
-    def run_one(rep, rep_seed):
-        seen.append((rep, rep_seed))
-        return _fake_result(float(rep), seed=rep_seed)
-
-    s = replicate_and_summarize(run_one, base_seed=42, replications=4)
-    assert [r for r, _ in seen] == [0, 1, 2, 3]
-    assert len({sd for _, sd in seen}) == 4
-    assert seen == [(r, replication_seed(42, r)) for r in range(4)]
+    src = SyntheticSource(1.0)
+    with mock.patch.object(src, "workload", wraps=src.workload) as spy:
+        [s] = replicate_and_summarize(src, src.config(2, 0.6), [parse_policy("rr")], 0.6, 200,
+                                      base_seed=42, replications=4, warmup_fraction=0.1)
+    seeds = [c.args[3] for c in spy.call_args_list]
+    assert len(set(seeds)) == 4
+    assert seeds == [replication_seed(42, r) for r in range(4)]
+    assert [r.seed for r in s.results] == seeds
     assert s.replications == 4
+
+
+def test_replicate_and_summarize_specs_match_one_spec_calls():
+    # the specs of one call share each replication's workload; that must not
+    # change any summary against evaluating each spec on its own
+    src = SyntheticSource(2.0)
+    cfg = src.config(3, 0.7)
+    specs = [parse_policy("lwl"),
+             parse_policy("two_stage:rr", theta=src.distribution().quantile(0.9), n1=1)]
+    point = (0.7, 600, 9, 3, 0.1)
+    both = replicate_and_summarize(src, cfg, specs, *point)
+    alone = [replicate_and_summarize(src, cfg, [spec], *point)[0] for spec in specs]
+    assert both == alone
+    assert both[0].mean_mrt_seconds != both[1].mean_mrt_seconds
 
 
 # ---------------------------------------------------------------------------

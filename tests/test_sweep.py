@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -320,8 +321,8 @@ def test_optimizer_explores_full_grid_with_paired_workloads():
         key=lambda r: (r["mrt_seconds"], -r["theta"], -r["n1"]),
     )
     assert opt.theta == best["theta"] and opt.n1 == best["n1"]
-    assert opt.mean_mrt_seconds == best["mrt_seconds"]
-    assert len(opt.best_results) == 2
+    assert opt.summary.mean_mrt_seconds == best["mrt_seconds"]
+    assert len(opt.summary.results) == 2
 
 
 def test_optimizer_tie_break_prefers_larger_theta_then_larger_n1():
@@ -337,7 +338,17 @@ def test_optimizer_tie_break_prefers_larger_theta_then_larger_n1():
         base_seed=5,
     )
     keys = [(r["mrt_seconds"], -r["theta"], -r["n1"]) for r in opt.table]
-    assert min(keys) == (opt.mean_mrt_seconds, -opt.theta, -opt.n1)
+    assert min(keys) == (opt.summary.mean_mrt_seconds, -opt.theta, -opt.n1)
+
+
+def test_optimizer_builds_each_replication_workload_once():
+    src = SyntheticSource(2.0)
+    with mock.patch.object(src, "workload", wraps=src.workload) as spy:
+        opt = optimize_two_stage("rr", 4, 0.6, src, theta_quantiles=(0.5, 0.9, 0.99),
+                                 n1_candidates=(1, 2, 3), replications=2, jobs=500,
+                                 base_seed=8)
+    assert len(opt.table) == 9
+    assert spy.call_count == 2
 
 
 def test_optimizer_validation():
