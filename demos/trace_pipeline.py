@@ -34,11 +34,11 @@ pair = np.arange(base.job_count) // 2  # rows 2j and 2j+1 form job j
 trace = Workload.from_tasks(pair, base.arrivals[2 * pair], np.arange(base.job_count) % 2,
                             base.task_sizes, horizon=base.horizon, source="demo")
 
-trace_path = Path(tempfile.mkdtemp()) / "demo_trace.csv"
-write_trace_csv(trace, trace_path)
-print(f"wrote {trace.job_count} jobs / {trace.task_count} tasks to {trace_path}")
-
-wl = ingest_trace(trace_path)
+with tempfile.TemporaryDirectory() as folder:  # removed, with the CSV, on exit
+    trace_path = Path(folder) / "demo_trace.csv"
+    write_trace_csv(trace, trace_path)
+    print(f"wrote {trace.job_count} jobs / {trace.task_count} tasks to {trace_path}")
+    wl = ingest_trace(trace_path)
 assert wl == trace  # the CSV round trip is exact, not approximate
 
 # choose the server speed so the trace loads 8 servers at rho = 0.7

@@ -1,5 +1,5 @@
 /* The dispatch-order FCFS recursion of `engine.run` for one stage under rr,
- * lwl or card, compiled on first use by `dispatchsim.kernel`.
+ * jiq, lwl or card, compiled on first use by `dispatchsim.kernel`.
  *
  * Each function dispatches tasks k..T-1 of a stage of servers
  * offset..offset+count-1: task k is ready at arr[k] and needs req[k]. It
@@ -14,11 +14,11 @@
  *
  * Tie-breaks read `halves`, the policy stream's 64-bit words split into
  * their low then high 32-bit halves, from index *pos on: the order in which
- * numpy's generator hands out 32-bit draws. lwl maps one half to an index by
- * Lemire's method (ACM TOMACS 2019), as `randomness.UniformIndex` does; card
- * replays `Generator.permutation(count)`. A dispatch that runs out of halves
- * returns its own index with *pos at its first draw and leaves all state as
- * it was; the caller appends halves and calls again from that index.
+ * numpy's generator hands out 32-bit draws. jiq and lwl map one half to an
+ * index by Lemire's method (ACM TOMACS 2019), as `randomness.UniformIndex`
+ * does; card replays `Generator.permutation(count)`. A dispatch that runs out
+ * of halves returns its own index with *pos at its first draw and leaves all
+ * state as it was; the caller appends halves and calls again from that index.
  */
 
 #include <stddef.h>
@@ -130,6 +130,132 @@ ptrdiff_t dispatch_lwl(ptrdiff_t T, const double *arr, const double *req, ptrdif
             j = ties[u];
         }
         serve(k, offset + j, a, req[k], speed, clear, busy, since, done, where);
+    }
+    return T;
+}
+
+/* jiq's lazy heap of (clear, g) drain instants, ordered as Python orders the
+ * tuples. It holds at most one entry per server. */
+static int earlier(double c, ptrdiff_t g, double d, ptrdiff_t h)
+{
+    return c < d || (c == d && g < h);
+}
+
+static void heap_push(double *hc, ptrdiff_t *hg, ptrdiff_t *len, double c, ptrdiff_t g)
+{
+    ptrdiff_t i = (*len)++;
+    while (i > 0) {
+        ptrdiff_t up = (i - 1) / 2;
+        if (!earlier(c, g, hc[up], hg[up]))
+            break;
+        hc[i] = hc[up];
+        hg[i] = hg[up];
+        i = up;
+    }
+    hc[i] = c;
+    hg[i] = g;
+}
+
+static void heap_pop(double *hc, ptrdiff_t *hg, ptrdiff_t *len)
+{
+    ptrdiff_t n = --*len, i = 0;
+    double c = hc[n];
+    ptrdiff_t g = hg[n];
+    for (;;) {
+        ptrdiff_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && earlier(hc[child + 1], hg[child + 1], hc[child], hg[child]))
+            child++;
+        if (!earlier(hc[child], hg[child], c, g))
+            break;
+        hc[i] = hc[child];
+        hg[i] = hg[child];
+        i = child;
+    }
+    hc[i] = c;
+    hg[i] = g;
+}
+
+/* Fields of jiq's state vector `st`, which persists across calls. */
+enum { HEAP_LEN, IDLE_LEN, READY, TIED, OUT };
+
+/* `engine._jiq_choose` over `policies.JoinIdleQueue`: a uniformly random
+ * idle server, else one uniform over the stage. Before dispatch k, every
+ * fresh heap entry that drains before k pops (clear < a; on stage 1 also
+ * clear == a when the server's last completion pops first) joins the idle
+ * table; a stale entry, whose server got more work since its push, is pushed
+ * again at its current clear. These drains are collected in heap order into
+ * cand_c/cand_g (global servers). If two share an instant, or one is at a,
+ * only the calendar's pop order settles them: the call returns k with
+ * st[TIED] = their number, and the caller writes back into cand_g the
+ * servers that drain, in pop order, then those held in the heap, sets
+ * st[OUT] to the number that drain and calls again from k. st[READY] is the
+ * dispatch whose drains are done, so no call repeats them.
+ *
+ * heap_c/heap_g hold the heap; idle and slot (count entries each, stage
+ * local) the idle table and each server's place in it, or -1 if busy. A
+ * busy server has exactly one heap entry, so the table doubles as
+ * `_jiq_choose`'s pushed flags. A chosen idle server leaves the table by
+ * swap-remove, and a drained one is appended. */
+ptrdiff_t dispatch_jiq(ptrdiff_t T, const double *arr, const double *req, ptrdiff_t offset,
+                       ptrdiff_t count, double speed, double *clear, double *busy,
+                       double *since, double *done, ptrdiff_t *where, ptrdiff_t k,
+                       const uint32_t *halves, ptrdiff_t len, ptrdiff_t *pos, ptrdiff_t stage1,
+                       double *heap_c, ptrdiff_t *heap_g, ptrdiff_t *idle, ptrdiff_t *slot,
+                       double *cand_c, ptrdiff_t *cand_g, ptrdiff_t *st)
+{
+    for (; k < T; k++) {
+        double a = arr[k];
+        if (st[READY] != k) {
+            ptrdiff_t m = st[TIED], out = st[OUT], i;
+            if (m) { /* the caller settled the tie */
+                st[TIED] = 0;
+            } else {
+                int tied = 0;
+                while (st[HEAP_LEN] && (heap_c[0] < a || (stage1 && heap_c[0] == a))) {
+                    double c = heap_c[0];
+                    ptrdiff_t g = heap_g[0];
+                    heap_pop(heap_c, heap_g, &st[HEAP_LEN]);
+                    if (clear[g] != c) { /* more work since the push */
+                        heap_push(heap_c, heap_g, &st[HEAP_LEN], clear[g], g);
+                        continue;
+                    }
+                    tied |= c == a || (m && cand_c[m - 1] == c);
+                    cand_c[m] = c;
+                    cand_g[m++] = g;
+                }
+                if (tied) {
+                    st[TIED] = m;
+                    return k;
+                }
+                out = m;
+            }
+            for (i = 0; i < out; i++) {
+                ptrdiff_t j = cand_g[i] - offset;
+                slot[j] = st[IDLE_LEN];
+                idle[st[IDLE_LEN]++] = j;
+            }
+            for (; i < m; i++)
+                heap_push(heap_c, heap_g, &st[HEAP_LEN], clear[cand_g[i]], cand_g[i]);
+            st[READY] = k;
+        }
+        ptrdiff_t n_idle = st[IDLE_LEN], span = n_idle ? n_idle : count, p = *pos, j;
+        uint32_t u = 0;
+        if (span > 1) {
+            if (!uniform((uint32_t)span, halves, len, &p, &u))
+                return k;
+            *pos = p;
+        }
+        j = n_idle ? idle[u] : (ptrdiff_t)u;
+        serve(k, offset + j, a, req[k], speed, clear, busy, since, done, where);
+        if (slot[j] >= 0) { /* the chosen idle server leaves the table */
+            ptrdiff_t last = idle[--st[IDLE_LEN]];
+            idle[slot[j]] = last;
+            slot[last] = slot[j];
+            slot[j] = -1;
+            heap_push(heap_c, heap_g, &st[HEAP_LEN], clear[offset + j], offset + j);
+        }
     }
     return T;
 }

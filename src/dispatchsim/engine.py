@@ -25,13 +25,13 @@ stage-1 completion. `_PopOrder` walks these chains back to settle each tie:
   * a jiq server drains at its `clear` instant unless its next dispatch pops
     first; a lazy heap replays the drains before each choice.
 
-Two paths compute the recursion and give the same bytes. For rr, lwl and
-card, `stage()` hands each stage to the compiled kernel (`kernel.py` builds
-`_kernel.c` with gcc on first use): one C loop per kind picks the server as
-`policies.py` would, drawing the same tie-breaks from the same policy
-stream, and takes the FCFS step. Without a compiler, and always for jiq,
-`_fcfs` runs the recursion over a Python chooser; the tests use that path as
-the kernel's oracle. The pop-order ties above stay in Python on both paths.
+Two paths compute the recursion and give the same bytes. `stage()` hands
+each stage to the compiled kernel (`kernel.py` builds `_kernel.c` with gcc on
+first use): one C loop per kind picks the server as `policies.py` would,
+drawing the same tie-breaks from the same policy stream, and takes the FCFS
+step. Without a compiler `_fcfs` runs the recursion over a Python chooser;
+the tests use that path as the kernel's oracle. The pop-order ties above stay
+in Python on both paths: jiq's kernel hands tied drains back to `_settle`.
 
 `clear[g]`, in one engine-owned list (an array on the kernel path) over
 global servers, is the instant server g's backlog empties; lwl and card read
@@ -150,7 +150,8 @@ class _PopOrder:
     arrival or transfer of stage s's dispatch i, at ready[s][i]; (1, s, i) is
     its completion, at done[s][i] on server where[s][i]. Transfer i comes
     from stage-0 dispatch moved[i]. jiq appends to `done` and `where` as it
-    dispatches; other kinds `fill` them once a tie needs them."""
+    dispatches, or `take`s them from the kernel at a tie; other kinds `fill`
+    them once a tie needs them."""
 
     def __init__(self, arrival) -> None:
         self.ready, self.done, self.where, self.prev = [arrival, []], [[], []], [[], []], [[], []]
@@ -162,6 +163,14 @@ class _PopOrder:
         if len(self.prev[s]) < len(done):
             self.done[s], self.where[s] = done.tolist(), where.tolist()
             self.ready[s], self.prev[s] = np.asarray(self.ready[s]).tolist(), _previous(where).tolist()
+
+    def take(self, s, done, where, d) -> None:
+        """Extend stage s's completions and servers to its first d dispatches
+        from the recursion's arrays, converting only what is new."""
+        have = len(self.done[s])
+        if have < d:
+            self.done[s] += done[have:d].tolist()
+            self.where[s] += where[have:d].tolist()
 
     def last(self, s, d, g=None):
         """The completion of the last dispatch before d of stage s on server
@@ -214,6 +223,22 @@ class _PopOrder:
                 return rank_e < rank_f
 
 
+def _settle(order, s, a, fresh):
+    """jiq's drains at a tie: `fresh` holds the (clear, server) pairs of stage
+    s, popped in heap order, that drain at or before instant a of dispatch
+    d = len(order.where[s]). Returns those that drain before d pops, in pop
+    order, and those held busy: on stage 1 a completion at a drains only if
+    it pops before the transfer."""
+    d = len(order.where[s])
+    out, held = [], []
+    for c, g in fresh:
+        first = c < a or order.first(order.last(s, d, g), (0, 1, d))
+        (out if first else held).append((c, g))
+    in_pop_order = cmp_to_key(lambda x, y: -1 if x[0] < y[0] or x[0] == y[0] and order.first(
+        order.last(s, d, x[1]), order.last(s, d, y[1])) else 1)
+    return sorted(out, key=in_pop_order), held
+
+
 def _jiq_choose(pol, order, s, offset, count, clear):
     """`choose(a)`: the global server of stage s's next dispatch under JIQ,
     checked to lie in the stage and appended to `order.where[s]`. A lazy heap
@@ -227,21 +252,18 @@ def _jiq_choose(pol, order, s, offset, count, clear):
     heap, pushed = [], [False] * len(clear)
     assign, idle, choose_idle = pol.on_assign, pol.on_server_idle, pol.choose
 
-    in_pop_order = cmp_to_key(lambda x, y: -1 if x[0] < y[0] or x[0] == y[0] and order.first(
-        order.last(s, len(where), x[1]), order.last(s, len(where), y[1])) else 1)
-
     def drain(a):  # the slow path, where same-instant drains need the pop order
-        out, held = [], []
+        fresh = []
         while heap and (heap[0][0] < a or s and heap[0][0] == a):
             c, g = heappop(heap)
             if clear[g] != c:  # more work since the push
                 heappush(heap, (clear[g], g))
-            else:  # a stage-1 completion at a drains only if it pops first
-                first = c < a or order.first(order.last(s, len(where), g), (0, 1, len(where)))
-                (out if first else held).append((c, g))
+            else:
+                fresh.append((c, g))
+        out, held = _settle(order, s, a, fresh)
         for e in held:
             heappush(heap, e)
-        for c, g in sorted(out, key=in_pop_order):
+        for c, g in out:
             pushed[g] = False
             idle(g - offset)
 
@@ -299,15 +321,20 @@ def run(
     stop = math.inf if horizon is None else horizon
     T = len(task_size)
     D = int(np.searchsorted(task_arrival, stop, side="right"))  # dispatched
-    lib = kernel.load() if policy.kind != "jiq" else None
+    lib = kernel.load()
     clear, busy, since = np.zeros((3, n)) if lib else ([0.0] * n for _ in range(3))
     order = _PopOrder(task_arrival[:D])  # an array: a list held to the end slowed rr ~5%
 
     def stage(arr, sizes, req, offset, count, s):
         """Stage s's completions and global servers, in dispatch order."""
         if lib:
+            def settle(k, fresh, done, where):
+                if s:  # a transfer's pop order runs back through stage 0
+                    order.take(0, done0, where0, len(done0))
+                order.take(s, done, where, k)
+                return _settle(order, s, arr[k], fresh)
             return lib.stage(policy.kind, arr, req, sizes, offset, count, speed, clear, busy,
-                             since, policy_rng(seed, s), policy.thresholds)
+                             since, policy_rng(seed, s), policy.thresholds, s, settle)
         arr, req = arr.tolist(), req.tolist()
         if policy.kind == "rr":
             picks = cycle(range(offset, offset + count))

@@ -1,4 +1,4 @@
-"""The compiled FCFS recursion for rr, lwl and card, built on first use.
+"""The compiled FCFS recursion for rr, jiq, lwl and card, built on first use.
 
 `load()` compiles `_kernel.c` with gcc the first time a run needs it and
 loads it with ctypes once per process. The shared library is cached in a
@@ -105,14 +105,22 @@ class Kernel:
         lib.dispatch_rr.argtypes, lib.dispatch_rr.restype = common, None
         lib.dispatch_lwl.argtypes, lib.dispatch_lwl.restype = [*drawing, ptr], size
         lib.dispatch_card.argtypes, lib.dispatch_card.restype = [*drawing, *[ptr] * 6], size
+        lib.dispatch_jiq.argtypes, lib.dispatch_jiq.restype = [*drawing, size, *[ptr] * 7], size
         self._lib = lib
 
     def stage(self, kind, arr, req, size, offset, count, speed, clear, busy, since, rng,
-              thresholds=None):
-        """Completions and global servers of one stage's dispatches, in
-        dispatch order; updates `clear`, `busy` and `since` (float64 arrays
-        over global servers) in place. `rng` is the stage's policy stream,
-        which nothing else may read."""
+              thresholds=None, stage1=False, settle=None):
+        """Completions and global servers of one stage's dispatches (rr, jiq,
+        lwl or card), in dispatch order; updates `clear`, `busy` and `since`
+        (float64 arrays over global servers) in place. `rng` is the stage's
+        policy stream, which nothing else may read.
+
+        jiq calls `settle(k, fresh, done, where)` when the servers that drain
+        before dispatch k tie at one instant, or one drains at k's instant on
+        stage 1 (`stage1`): `fresh` lists their (clear, server) in heap order,
+        and done[:k] and where[:k] are the stage's dispatches so far. It
+        returns the (clear, server) pairs that drain, in pop order, and those
+        that stay busy."""
         import ctypes
 
         arr, req, size = (np.ascontiguousarray(a, dtype=np.float64) for a in (arr, req, size))
@@ -128,6 +136,14 @@ class Kernel:
             return done, where
         if kind == "lwl":
             fn, extra = self._lib.dispatch_lwl, [np.empty(count, dtype=np.intp)]
+        elif kind == "jiq":
+            heap_c, cand_c = np.empty((2, count))
+            heap_g, idle, slot, cand_g = np.empty((4, count), dtype=np.intp)
+            idle[:] = slot[:] = np.arange(count)  # every server starts idle
+            # heap length, idle count, dispatch whose drains are done, tied
+            # drains, settled drains: `st` in `dispatch_jiq`
+            st = np.array([0, count, -1, 0, 0], dtype=np.intp)
+            fn, extra = self._lib.dispatch_jiq, [heap_c, heap_g, idle, slot, cand_c, cand_g, st]
         else:
             if len(thresholds.m) != count:
                 raise ValueError(f"thresholds are for {len(thresholds.m)} servers, not {count}")
@@ -136,9 +152,16 @@ class Kernel:
                 np.asarray(thresholds.c, dtype=np.float64), np.empty(count),
                 np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)]
         extra_ptrs = [_ptr(a) for a in extra]  # `extra` keeps the arrays alive
+        if kind == "jiq":
+            extra_ptrs.insert(0, int(stage1))
         raw, words = rng.bit_generator.random_raw, 1024
         halves, pos, k = np.empty(0, dtype=np.uint32), ctypes.c_ssize_t(0), 0
         while (k := fn(*common, k, _ptr(halves), len(halves), ctypes.byref(pos), *extra_ptrs)) < T:
+            if kind == "jiq" and (tied := st[3]):
+                out, held = settle(k, list(zip(cand_c[:tied].tolist(), cand_g[:tied].tolist())),
+                                   done, where)
+                cand_g[:tied], st[4] = [g for _c, g in out + held], len(out)
+                continue
             # each word's low half first, as the generator hands out 32-bit draws
             new = raw(words).astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
             halves, pos.value = np.concatenate((halves[pos.value:], new)), 0

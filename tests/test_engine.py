@@ -298,8 +298,10 @@ def test_out_of_range_stage1_choice_is_an_engine_error(monkeypatch):
 
 def test_out_of_range_jiq_choice_is_an_engine_error(monkeypatch):
     # jiq's chooser, which replays the drains before each choice, goes
-    # through the same check
+    # through the same check (the Python path: the kernel never calls
+    # JoinIdleQueue)
     wl = _wl([(0, 0.0, [1.0])])
+    monkeypatch.setattr(kernel, "load", lambda: None)
     monkeypatch.setattr(JoinIdleQueue, "choose", lambda self: -1)
     with pytest.raises(RuntimeError, match="outside stage of size 2"):
         run(wl, _cfg(2, 1.0), _policy("jiq"), seed=0)
@@ -316,6 +318,7 @@ def test_out_of_range_jiq_stage1_choice_is_an_engine_error(monkeypatch):
             table.choose = lambda: 1
         built.append(table)
         return table
+    monkeypatch.setattr(kernel, "load", lambda: None)
     monkeypatch.setattr(engine, "JoinIdleQueue", jiq)
     with pytest.raises(RuntimeError, match="outside stage of size 1"):
         run(wl, _cfg(2, 1.0), _policy("two_stage:jiq", n1=1, theta=1.0), seed=0)
@@ -393,8 +396,8 @@ def _check_against_event_loop(case, seed):
 
 @pytest.fixture(scope="module", params=["kernel", "python"])
 def recursion_path(request):
-    """The path `run` takes for rr, lwl and card: the compiled kernel, or the
-    Python loop with the kernel unloaded. Enter it with `_on_path`."""
+    """The path `run` takes: the compiled kernel, or the Python loop with the
+    kernel unloaded. Enter it with `_on_path`."""
     if request.param == "kernel" and kernel.load() is None:
         pytest.skip("no C compiler to build the kernel")
     return request.param
@@ -424,8 +427,9 @@ def test_lwl_and_card_recursion_matches_event_loop(recursion_path, case, seed):
 
 @given(_recursion_cases(["jiq"]), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_jiq_recursion_matches_event_loop(case, seed):
-    _check_against_event_loop(case, seed)
+def test_jiq_recursion_matches_event_loop(recursion_path, case, seed):
+    with _on_path(recursion_path):
+        _check_against_event_loop(case, seed)
 
 
 def test_two_stage_jiq_transfer_pops_before_a_zero_length_completion():
@@ -468,6 +472,10 @@ def test_lwl_recursion_runs_continuous_and_declines_stage1_collisions():
     _check_continuous_and_stage1_collision("lwl")
 
 
+def test_jiq_recursion_runs_continuous_and_declines_stage1_collisions():
+    _check_continuous_and_stage1_collision("jiq")
+
+
 def test_rr_tied_transfers_pop_in_service_start_order():
     policy = _policy("two_stage:rr", n1=2, theta=1.0)
     # two size-3 tasks of one job start on arrival at idle servers and both
@@ -494,11 +502,18 @@ def test_rr_tied_transfers_pop_in_service_start_order():
     _assert_same_log(log, _event_loop(at_done, _cfg(4, 1.0), policy, 0))
 
 
-@pytest.mark.parametrize("kind", ["rr", "lwl"])
-def test_tied_transfers_of_multi_task_jobs_stay_on_the_recursion(kind):
+@pytest.mark.parametrize("kind", ["rr", "lwl", "jiq"])
+def test_tied_transfers_of_multi_task_jobs_stay_on_the_recursion(monkeypatch, kind):
     # a job's tasks share its arrival instant, so those that start at once
     # on idle stage-0 servers transfer together: about 270 of 800 transfers
-    # tie here, and each tied group must reach stage 1 in pop order
+    # tie here, and each tied group must reach stage 1 in pop order. Under
+    # jiq those servers also drain together at a+theta, a tie that only the
+    # pop order settles: the kernel, when built, hands it to the Python tie
+    # handler
+    settled = []
+    real = engine._settle
+    monkeypatch.setattr(engine, "_settle", lambda order, s, *rest: (
+        settled.append(s), real(order, s, *rest))[1])
     rng = np.random.default_rng(5)
     arrivals = np.cumsum(rng.exponential(1.0, 400))
     counts = rng.integers(1, 7, 400)
@@ -511,6 +526,7 @@ def test_tied_transfers_of_multi_task_jobs_stay_on_the_recursion(kind):
     at = log.transfer_time[log.stage2_server >= 0]
     assert len(at) - len(np.unique(at)) > 200
     _assert_same_log(log, _event_loop(wl, cfg, policy, 3))
+    assert (0 in settled) == (kind == "jiq")
 
 
 def test_rr_arrival_at_a_completion_extends_the_busy_period():

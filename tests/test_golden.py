@@ -219,7 +219,7 @@ def test_engine_outputs_match_golden_digests(case):
 
 
 def test_engine_goldens_hold_on_the_python_path(monkeypatch):
-    # with the compiled kernel unloaded, rr, lwl and card take engine.run's
+    # with the compiled kernel unloaded, every kind takes engine.run's
     # Python loop, which must give the same bytes
     monkeypatch.setattr(kernel, "load", lambda: None)
     assert {case: _engine_digest(*case) for case in ENGINE_CASES} == ENGINE_CASES

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispatchsim import kernel
+from dispatchsim import engine, kernel
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
 from dispatchsim.engine import run
 from dispatchsim.policies import least_work_left, parse_policy
-from dispatchsim.workload import ClusterConfig, fit_weibull, generate_poisson_weibull
+from dispatchsim.workload import ClusterConfig, Workload, fit_weibull, generate_poisson_weibull
 
 _FIELDS = ("completion", "completed_stage", "stage1_server", "stage2_server", "transfer_time",
            "served_work", "busy_integral")
@@ -48,7 +48,8 @@ def fresh(monkeypatch, tmp_path):
     return cache
 
 
-@pytest.mark.parametrize("label", ["rr", "lwl", "card", "two_stage:rr", "two_stage:lwl"])
+@pytest.mark.parametrize("label", ["rr", "jiq", "lwl", "card", "two_stage:rr", "two_stage:jiq",
+                                   "two_stage:lwl"])
 def test_kernel_matches_python_path_bit_for_bit(monkeypatch, label):
     # 20k continuous jobs at n=100 have no ties, but card draws a permutation
     # at every dispatch, so any slip in the stream position shows
@@ -64,14 +65,17 @@ def test_kernel_matches_python_path_bit_for_bit(monkeypatch, label):
 
 class _Halves:
     """A generator stand-in whose 32-bit draws are `halves`, then a filler
-    that every draw below accepts."""
+    that every draw below accepts. It hands out at most `chunk` words a read
+    and counts its reads."""
 
-    def __init__(self, halves):
+    def __init__(self, halves, chunk=None):
         h = np.array(halves, dtype=np.uint64)
         self.words = (h[0::2] | h[1::2] << np.uint64(32)).tolist()
-        self.bit_generator = self
+        self.bit_generator, self.chunk, self.reads = self, chunk, 0
 
     def random_raw(self, count):
+        self.reads += 1
+        count = min(count, self.chunk or count)
         out, self.words = self.words[:count], self.words[count:]
         return np.array(out + [0xAAAAAAAB_55555555] * (count - len(out)), dtype=np.uint64)
 
@@ -92,6 +96,58 @@ def test_kernel_lwl_draws_reject_like_uniform_index():
     _done, where = lib.stage("lwl", arr, np.ones(6), np.ones(6), 0, 3, 1.0, clear, busy, since,
                              _Halves(halves))
     assert where.tolist() == expected
+
+
+def _on_halves(monkeypatch, wl, cfg, policy, halves, chunk=None):
+    """`run` on the kernel and on the Python path (`JoinIdleQueue` over
+    `UniformIndex`), every stage's policy stream a fresh `_Halves`. Returns
+    both logs and the streams each path read."""
+    logs, streams = [], []
+    for load in (kernel.load, lambda: None):
+        made = []
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "load", load)
+            patch.setattr(engine, "policy_rng", lambda seed, s: made.append(
+                _Halves(halves, chunk)) or made[-1])
+            logs.append(run(wl, cfg, policy, seed=0))
+        streams.append(made)
+    return logs, streams
+
+
+def test_kernel_jiq_draws_replay_join_idle_queue(monkeypatch):
+    # 3 servers at speed 1: five tasks at t=0, then one at t=20. Reading one
+    # word (two halves) at a time, the first draw, over 3 idle servers,
+    # rejects both halves 0 and resumes mid-dispatch to accept 0xAAAAAAAB
+    # (server 2). Then 2 idle servers (server 1), a single idle one (server
+    # 0, no draw), and twice none idle, drawn over the stage's 3 servers. At
+    # t=20 all three drain before a draw that finds no halves left and
+    # resumes without draining again. A draw at the single idle server would
+    # turn the last two choices into servers 2 and 0
+    if kernel.load() is None:
+        pytest.skip("no C compiler to build the kernel")
+    a = 0xAAAAAAAB
+    halves = [0, 0, a, a, 0x55555555, 0x55555555, 0xFFFFFFFF, a]
+    wl = Workload.from_tasks([0] * 5 + [1], [0.0] * 5 + [20.0], [0, 1, 2, 3, 4, 0],
+                             [1.0, 2.0, 3.0, 4.0, 5.0, 1.0])
+    cfg = ClusterConfig(3, 1.0, 3.0, 0.5, 1.5, 1.0)
+    (fast, slow), _streams = _on_halves(monkeypatch, wl, cfg, parse_policy("jiq"), halves, 1)
+    assert slow.stage1_server.tolist() == [2, 1, 0, 0, 0, 0]
+    _assert_same_log(fast, slow)
+
+
+def test_kernel_jiq_on_single_server_stages_draws_nothing(monkeypatch):
+    # both stages hold one server, so every choice, idle or not, is that
+    # server and neither path reads its policy stream
+    if kernel.load() is None:
+        pytest.skip("no C compiler to build the kernel")
+    wl = Workload.from_tasks([0, 1, 2, 2], [0.0, 0.2, 3.0, 3.0], [0, 0, 0, 1],
+                             [1.0, 2.0, 0.3, 4.0])
+    cfg = ClusterConfig(2, 1.0, 2.0, 0.5, 1.0, 1.0)
+    policy = parse_policy("two_stage:jiq", n1=1, theta=0.5)
+    (fast, slow), streams = _on_halves(monkeypatch, wl, cfg, policy, [])
+    assert fast.transfers == 3
+    assert [[h.reads for h in made] for made in streams] == [[0, 0], [0, 0]]
+    _assert_same_log(fast, slow)
 
 
 def test_run_without_a_compiler_takes_the_python_path(fresh, monkeypatch, tmp_path):
