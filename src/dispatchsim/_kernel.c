@@ -8,17 +8,18 @@
  * period, else c = a + r/speed. It writes done[k] and where[k] and updates
  * clear[g], busy[g] and since[g] in place.
  *
- * Output must be bit-identical to the Python path, so build with -O2
+ * Output must be bit-identical to `engine._stage`, so build with -O2
  * -ffp-contract=off and never with -ffast-math or -march=native: contracting
  * a*b+c into an FMA or reassociating a sum changes the last bit.
  *
  * Tie-breaks read `halves`, the policy stream's 64-bit words split into
- * their low then high 32-bit halves, from index *pos on: the order in which
- * numpy's generator hands out 32-bit draws. jiq and lwl map one half to an
- * index by Lemire's method (ACM TOMACS 2019), as `randomness.UniformIndex`
- * does; card replays `Generator.permutation(count)`. A dispatch that runs out
- * of halves returns its own index with *pos at its first draw and leaves all
- * state as it was; the caller appends halves and calls again from that index.
+ * their low then high 32-bit halves by `randomness.halves`, from index *pos
+ * on: the order in which numpy's generator hands out 32-bit draws. jiq and
+ * lwl map one half to an index by Lemire's method (ACM TOMACS 2019), as
+ * `randomness.UniformIndex` does; card replays `Generator.permutation(count)`.
+ * A dispatch that runs out of halves returns its own index with *pos at its
+ * first draw and leaves all state as it was; the caller appends halves and
+ * calls again from that index.
  */
 
 #include <stddef.h>
@@ -195,9 +196,10 @@ enum { HEAP_LEN, IDLE_LEN, READY, TIED, OUT };
  *
  * heap_c/heap_g hold the heap; idle and slot (count entries each, stage
  * local) the idle table and each server's place in it, or -1 if busy. A
- * busy server has exactly one heap entry, so the table doubles as
- * `_jiq_choose`'s pushed flags. A chosen idle server leaves the table by
- * swap-remove, and a drained one is appended. */
+ * busy server has exactly one heap entry, so a server is pushed when it
+ * leaves the table, as `JoinIdleQueue.on_assign` reports to `_jiq_choose`.
+ * A chosen idle server leaves the table by swap-remove, and a drained one
+ * is appended. */
 ptrdiff_t dispatch_jiq(ptrdiff_t T, const double *arr, const double *req, ptrdiff_t offset,
                        ptrdiff_t count, double speed, double *clear, double *busy,
                        double *since, double *done, ptrdiff_t *where, ptrdiff_t k,

@@ -198,6 +198,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if bool(args.figure) != bool(args.figure_out):
+        raise ValueError("--figure needs --figure-out" if args.figure else
+                         "--figure-out needs --figure")
     plan = SweepPlan.from_file(args.plan)
     run_rows, summary_rows = run_sweep(plan, workers=args.workers)
     out_prefix = args.out
@@ -205,8 +208,6 @@ def _cmd_sweep(args) -> int:
         for path in write_sweep_outputs(plan, run_rows, summary_rows, out_prefix):
             print(f"wrote {path}")
     if args.figure:
-        if not args.figure_out:
-            raise ValueError("--figure needs --figure-out")
         axis = "rho" if args.figure == "rho-curve" else "n"
         header, rows = pivot_summary(summary_rows, axis)
         write_pivot_csv(args.figure_out, header, rows)

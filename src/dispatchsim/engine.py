@@ -25,16 +25,17 @@ stage-1 completion. `_PopOrder` walks these chains back to settle each tie:
   * a jiq server drains at its `clear` instant unless its next dispatch pops
     first; a lazy heap replays the drains before each choice.
 
-Two paths compute the recursion and give the same bytes. `stage()` hands
-each stage to the compiled kernel (`kernel.py` builds `_kernel.c` with gcc on
-first use): one C loop per kind picks the server as `policies.py` would,
-drawing the same tie-breaks from the same policy stream, and takes the FCFS
-step. Without a compiler `_fcfs` runs the recursion over a Python chooser;
-the tests use that path as the kernel's oracle. The pop-order ties above stay
-in Python on both paths: jiq's kernel hands tied drains back to `_settle`.
+One stage contract, two implementations, the same bytes. `run` hands each
+stage to `Kernel.stage`, the compiled kernel (`kernel.py` builds `_kernel.c`
+with gcc on first use), or, without a compiler, to `_stage`, which runs the
+recursion `_fcfs` over a chooser from `policies.py`; the tests use `_stage`
+as the kernel's oracle. Both take the same arguments, draw the same
+tie-breaks from the same policy stream and return the stage's completions
+and servers. The pop-order ties above stay in Python: on both, jiq hands
+drains that tie to one `settle` callback in `run`, which calls `_settle`.
 
-`clear[g]`, in one engine-owned list (an array on the kernel path) over
-global servers, is the instant server g's backlog empties; lwl and card read
+`clear[g]`, in an engine-owned array over global servers, is the instant
+server g's backlog empties (`_stage` works on a list copy); lwl and card read
 each stage's slice of it at every choice. Two-stage: a task of size s first
 occupies a stage-0 server for min(s, theta); if s > theta it transfers at the
 truncation instant and restarts from scratch, needing the full s, on a
@@ -149,9 +150,9 @@ class _PopOrder:
     """The calendar's pop order at a tied instant. Event (0, s, i) is the
     arrival or transfer of stage s's dispatch i, at ready[s][i]; (1, s, i) is
     its completion, at done[s][i] on server where[s][i]. Transfer i comes
-    from stage-0 dispatch moved[i]. jiq appends to `done` and `where` as it
-    dispatches, or `take`s them from the kernel at a tie; other kinds `fill`
-    them once a tie needs them."""
+    from stage-0 dispatch moved[i]. jiq's `settle` `take`s `done` and `where`
+    up to a tie from either stage implementation; other kinds `fill` them
+    once a tie needs them."""
 
     def __init__(self, arrival) -> None:
         self.ready, self.done, self.where, self.prev = [arrival, []], [[], []], [[], []], [[], []]
@@ -166,11 +167,11 @@ class _PopOrder:
 
     def take(self, s, done, where, d) -> None:
         """Extend stage s's completions and servers to its first d dispatches
-        from the recursion's arrays, converting only what is new."""
+        from the recursion's lists or arrays, converting only what is new."""
         have = len(self.done[s])
         if have < d:
-            self.done[s] += done[have:d].tolist()
-            self.where[s] += where[have:d].tolist()
+            self.done[s] += np.asarray(done[have:d]).tolist()
+            self.where[s] += np.asarray(where[have:d]).tolist()
 
     def last(self, s, d, g=None):
         """The completion of the last dispatch before d of stage s on server
@@ -239,60 +240,75 @@ def _settle(order, s, a, fresh):
     return sorted(out, key=in_pop_order), held
 
 
-def _jiq_choose(pol, order, s, offset, count, clear):
-    """`choose(a)`: the global server of stage s's next dispatch under JIQ,
-    checked to lie in the stage and appended to `order.where[s]`. A lazy heap
-    holds (clear, server) for each busy server, with `clear` as of its push; a
-    server whose `clear` has moved since is pushed again. Before each choice
-    the previous dispatch leaves the idle table, and the servers that drain
-    before the dispatch pops (stage 0: clear < a; stage 1: also clear == a
-    when the last completion pops first) join it, same-instant drains in pop
-    order."""
-    done, where = order.done[s], order.where[s]
-    heap, pushed = [], [False] * len(clear)
+def _jiq_choose(pol, offset, count, clear, where, stage1, settle):
+    """`choose(a)`: the global server of a stage's next dispatch under JIQ,
+    checked to lie in the stage and appended to `where`, as `dispatch_jiq`
+    picks it. A lazy heap holds (clear, server) per busy server, as of its
+    push; a stale entry is pushed again at its server's `clear`. Before each
+    choice the previous dispatch leaves the idle table, and the servers that
+    drain before the dispatch pops (clear < a; on stage 1 also clear == a when
+    the last completion pops first) join it in heap order, unless two tie or
+    one is at a: then `settle(k, fresh, done, where)` returns those that
+    drain, in pop order, and those held busy."""
+    done, heap = [], []
     assign, idle, choose_idle = pol.on_assign, pol.on_server_idle, pol.choose
-
-    def drain(a):  # the slow path, where same-instant drains need the pop order
-        fresh = []
-        while heap and (heap[0][0] < a or s and heap[0][0] == a):
-            c, g = heappop(heap)
-            if clear[g] != c:  # more work since the push
-                heappush(heap, (clear[g], g))
-            else:
-                fresh.append((c, g))
-        out, held = _settle(order, s, a, fresh)
-        for e in held:
-            heappush(heap, e)
-        for c, g in out:
-            pushed[g] = False
-            idle(g - offset)
 
     def choose(a):
         if where:  # the previous dispatch has completed its recursion step
             g = where[-1]
-            assign(g - offset)
             done.append(c := clear[g])
-            if not pushed[g]:
-                pushed[g] = True
+            if assign(g - offset):  # it left the idle table: a busy server has one entry
                 heappush(heap, (c, g))
-        while heap and heap[0][0] < a:
-            c, g = heappop(heap)
+        fresh, last, tied = [], None, False
+        while heap and (heap[0][0] < a or stage1 and heap[0][0] == a):
+            c, g = e = heappop(heap)
             if clear[g] != c:  # more work since the push
                 heappush(heap, (clear[g], g))
-            elif heap and heap[0][0] == c:
-                heappush(heap, (c, g))
-                break
-            else:
-                pushed[g] = False
-                idle(g - offset)
-        if heap and (heap[0][0] < a or s and heap[0][0] == a):
-            drain(a)
+                continue
+            if c == last:  # pops never decrease: a tie is two in a row, a drain at a the last
+                tied = True
+            last = c
+            fresh.append(e)
+        if tied or last == a:
+            fresh, held = settle(len(where), fresh, done, where)
+            for e in held:
+                heappush(heap, e)
+        for c, g in fresh:
+            idle(g - offset)
         j = choose_idle()
         if not 0 <= j < count:
             raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
         where.append(g := offset + j)
         return g
     return choose
+
+
+def _stage(kind, arr, req, size, offset, count, speed, clear, busy, since, rng, thresholds=None,
+           stage1=False, settle=None):
+    """`Kernel.stage` in Python, with its arguments, return value and `settle`
+    calls: the fallback without a compiler and the kernel's oracle. It runs
+    `_fcfs` on list copies of `clear`, `busy` and `since` and writes them back."""
+    arr, req, state = arr.tolist(), req.tolist(), [x.tolist() for x in (clear, busy, since)]
+    where = []
+    if kind == "rr":
+        picks, where = cycle(range(offset, offset + count)), offset + np.arange(len(arr)) % count
+    elif kind == "jiq":
+        pol = JoinIdleQueue(count, rng)
+        picks = map(_jiq_choose(pol, offset, count, state[0], where, stage1, settle), arr)
+    else:
+        choose = (least_work_left(state[0], offset, count, speed, rng) if kind == "lwl" else
+                  multi_band_card(state[0], offset, count, speed, rng, thresholds))
+
+        def pick(a, s):
+            j = choose(a, s)
+            if not 0 <= j < count:
+                raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
+            where.append(g := offset + j)
+            return g
+        picks = map(pick, arr, size.tolist() if kind == "card" else repeat(None))
+    done = np.fromiter(_fcfs(arr, req, picks, *state, speed), np.float64, len(arr))
+    clear[:], busy[:], since[:] = state
+    return done, np.asarray(where, dtype=np.intp)
 
 
 def run(
@@ -321,48 +337,19 @@ def run(
     stop = math.inf if horizon is None else horizon
     T = len(task_size)
     D = int(np.searchsorted(task_arrival, stop, side="right"))  # dispatched
-    lib = kernel.load()
-    clear, busy, since = np.zeros((3, n)) if lib else ([0.0] * n for _ in range(3))
+    stage_impl = lib.stage if (lib := kernel.load()) else _stage
+    clear, busy, since = np.zeros((3, n))
     order = _PopOrder(task_arrival[:D])  # an array: a list held to the end slowed rr ~5%
 
     def stage(arr, sizes, req, offset, count, s):
         """Stage s's completions and global servers, in dispatch order."""
-        if lib:
-            def settle(k, fresh, done, where):
-                if s:  # a transfer's pop order runs back through stage 0
-                    order.take(0, done0, where0, len(done0))
-                order.take(s, done, where, k)
-                return _settle(order, s, arr[k], fresh)
-            return lib.stage(policy.kind, arr, req, sizes, offset, count, speed, clear, busy,
-                             since, policy_rng(seed, s), policy.thresholds, s, settle)
-        arr, req = arr.tolist(), req.tolist()
-        if policy.kind == "rr":
-            picks = cycle(range(offset, offset + count))
-            done = _fcfs(arr, req, picks, clear, busy, since, speed)
-            return np.fromiter(done, np.float64, len(arr)), offset + np.arange(len(arr)) % count
-        rng = policy_rng(seed, s)
-        if policy.kind == "jiq":
-            where = order.where[s]
-            picks = map(_jiq_choose(JoinIdleQueue(count, rng), order, s, offset, count, clear),
-                        arr)
-        else:
-            where = []
-            if policy.kind == "lwl":
-                choose = least_work_left(clear, offset, count, speed, rng)
-            else:
-                choose = multi_band_card(clear, offset, count, speed, rng, policy.thresholds)
-
-            def pick(a, size):
-                j = choose(a, size)
-                if not 0 <= j < count:
-                    raise RuntimeError(f"policy chose server {j} outside stage of size {count}")
-                where.append(g := offset + j)
-                return g
-            picks = map(pick, arr, sizes.tolist() if policy.kind == "card" else repeat(None))
-        done = np.fromiter(_fcfs(arr, req, picks, clear, busy, since, speed), np.float64, len(arr))
-        if policy.kind == "jiq" and where:
-            order.done[s].append(clear[where[-1]])
-        return done, np.array(where, dtype=np.intp)
+        def settle(k, fresh, done, where):
+            if s:  # a transfer's pop order runs back through stage 0
+                order.take(0, done0, where0, len(done0))
+            order.take(s, done, where, k)
+            return _settle(order, s, arr[k], fresh)
+        return stage_impl(policy.kind, arr, req, sizes, offset, count, speed, clear, busy, since,
+                          policy_rng(seed, s), policy.thresholds, s, settle)
 
     size = task_size[:D]
     req = np.minimum(size, theta)
@@ -398,12 +385,9 @@ def run(
     late = done > stop
     pend = np.full(n, math.inf)
     np.minimum.at(pend, where[late], done[late])
-    end_time = min(pend.min(), task_arrival[D] if D < T else math.inf)  # first event past stop
-    if end_time == math.inf:  # drained: the last event is the last completion
-        end_time = max(clear)
-    end_time = float(end_time)
-    busy = [b + ((end_time if p < math.inf else c) - s)
-            for b, s, p, c in zip(busy, since, pend.tolist(), clear)]
+    # the first event past stop, else the last completion (which no late one exceeds)
+    end_time = float(min(pend.min(), task_arrival[D] if D < T else clear.max()))
+    busy = busy + (np.where(pend < math.inf, end_time, clear) - since)
     work = np.bincount(where, np.where(late, 0.0, np.concatenate((req, task_size[moved]))), n)
 
     completion = np.full(T, math.nan)
@@ -420,4 +404,4 @@ def run(
     transfer_time[moved] = at
     return CompletionLog(
         workload, config, policy, seed, completion, completed_stage, stage1_server,
-        stage2_server, transfer_time, work, np.asarray(busy), end_time, len(moved))
+        stage2_server, transfer_time, work, busy, end_time, len(moved))

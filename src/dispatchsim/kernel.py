@@ -6,9 +6,12 @@ per-user directory (`$XDG_CACHE_HOME/dispatchsim`, else `~/.cache/dispatchsim`,
 else `dispatchsim-<uid>` under the temp directory) under a name keyed by the
 source hash, the compiler version and the flags, so a later process loads it
 without compiling. Builds go to a temp file that is renamed into place, so
-concurrent processes never see a partial library. Without gcc, or if the
-build fails, `load()` returns None and `engine.run` takes its Python path,
-which produces the same bytes and serves as the kernel's test oracle.
+concurrent processes never see a partial library.
+
+`Kernel.stage` and `engine._stage` implement one stage contract: the same
+arguments, return value and `settle` calls, and the same bytes. Without gcc,
+or if the build fails, `load()` returns None and `engine.run` calls
+`engine._stage`, which also serves as the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import os
 from pathlib import Path
 
 import numpy as np
+
+from .randomness import halves
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off: no FMA contraction, so the kernel rounds like Python
@@ -154,17 +159,14 @@ class Kernel:
         extra_ptrs = [_ptr(a) for a in extra]  # `extra` keeps the arrays alive
         if kind == "jiq":
             extra_ptrs.insert(0, int(stage1))
-        raw, words = rng.bit_generator.random_raw, 1024
-        halves, pos, k = np.empty(0, dtype=np.uint32), ctypes.c_ssize_t(0), 0
-        while (k := fn(*common, k, _ptr(halves), len(halves), ctypes.byref(pos), *extra_ptrs)) < T:
+        words, drawn, pos, k = 1024, np.empty(0, dtype=np.uint32), ctypes.c_ssize_t(0), 0
+        while (k := fn(*common, k, _ptr(drawn), len(drawn), ctypes.byref(pos), *extra_ptrs)) < T:
             if kind == "jiq" and (tied := st[3]):
                 out, held = settle(k, list(zip(cand_c[:tied].tolist(), cand_g[:tied].tolist())),
                                    done, where)
                 cand_g[:tied], st[4] = [g for _c, g in out + held], len(out)
                 continue
-            # each word's low half first, as the generator hands out 32-bit draws
-            new = raw(words).astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
-            halves, pos.value = np.concatenate((halves[pos.value:], new)), 0
+            drawn, pos.value = np.concatenate((drawn[pos.value:], halves(rng, words))), 0
             words = min(4 * words, 1 << 16)
         return done, where
 

@@ -56,15 +56,17 @@ class JoinIdleQueue:
             return self._idle[0]
         return self._idle[self._draw(k)]
 
-    def on_assign(self, local: int) -> None:
+    def on_assign(self, local: int) -> bool:
+        """Mark server `local` busy; returns whether it left the idle table."""
         p = self._pos[local]
         if p < 0:
-            return  # was already busy (drawn from the all-busy branch)
+            return False  # was already busy (drawn from the all-busy branch)
         last = self._idle[-1]
         self._idle[p] = last
         self._pos[last] = p
         self._idle.pop()
         self._pos[local] = -1
+        return True
 
     def on_server_idle(self, local: int) -> None:
         if self._pos[local] >= 0:

@@ -59,14 +59,21 @@ def policy_rng(seed: int, stage: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def halves(rng: np.random.Generator, words: int) -> np.ndarray:
+    """The next `words` 64-bit words of rng's bit generator as 2*words uint32
+    halves, each word's low half first: the order in which the generator
+    hands out its own 32-bit draws."""
+    raw = rng.bit_generator.random_raw(words)
+    return raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
+
+
 class UniformIndex:
     """Stream-exact buffered `rng.integers(k)` for 1 <= k < 2**32.
 
     `draw(k)` returns exactly what `rng.integers(k)` would have returned on
     the same generator, at a fraction of the per-call cost. It reads 64-bit
-    words from the bit generator 1024 at a time and consumes each as its low
-    then its high 32-bit half (the order of the generator's own 32-bit
-    draws), mapped to [0, k) by Lemire's multiply-and-reject method (Lemire,
+    words from the bit generator 1024 at a time and consumes their `halves`,
+    each mapped to [0, k) by Lemire's multiply-and-reject method (Lemire,
     ACM TOMACS 2019), as numpy does; k == 1 draws nothing. The words are
     read ahead, so after the first call `rng` itself must not be drawn from
     again.
@@ -75,12 +82,8 @@ class UniformIndex:
     __slots__ = ("_next",)
 
     def __init__(self, rng: np.random.Generator) -> None:
-        raw = rng.bit_generator.random_raw
-
-        def halves(count):
-            words = raw(count)
-            return np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel().tolist()
-        self._next = chain.from_iterable(map(halves, repeat(1024))).__next__
+        chunks = map(lambda words: halves(rng, words).tolist(), repeat(1024))
+        self._next = chain.from_iterable(chunks).__next__
 
     def draw(self, k: int) -> int:
         if k <= 1:

@@ -314,6 +314,8 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> tuple[list[dict], list[dict]
     """Execute a sweep; returns (per_replication_rows, summary_rows), both in
     canonical order (rho, n, cov, policy, theta, n1, seed). Each cov's source
     is built once and passed (pickled, in a pool) to every point."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     covs: tuple = plan.cov_values if plan.trace is None else (None,)
     sources = [make_source(cov, plan.trace, plan.jobs, plan.mean_size, plan.total_capacity)
                for cov in covs]

@@ -307,14 +307,32 @@ def test_sweep_plan_execution_and_figure(tmp_path, capsys):
     assert (tmp_path / "s_summary.csv").read_bytes() == (tmp_path / "t_summary.csv").read_bytes()
 
 
-def test_sweep_figure_requires_out_path(tmp_path, capsys):
+def _tiny_plan(tmp_path):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({
         "policies": ["rr"], "n_values": [2], "rho_values": [0.5],
         "cov_values": [1.0], "jobs": 500, "replications": 1, "base_seed": 1,
     }))
-    code, _, err = _run(capsys, "sweep", "--plan", str(plan_path), "--figure", "rho-curve")
-    assert code == 1 and "--figure-out" in err
+    return str(plan_path)
+
+
+@pytest.mark.parametrize("flag,value,needs", [
+    ("--figure", "rho-curve", "--figure-out"),
+    ("--figure-out", "fig.csv", "--figure"),
+], ids=["figure-without-out", "out-without-figure"])
+def test_sweep_figure_requires_out_path(tmp_path, capsys, monkeypatch, flag, value, needs):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, "sweep", "--plan", _tiny_plan(tmp_path), flag, value)
+    _assert_one_error_line(code, out, err)
+    assert err.endswith(f"needs {needs}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]  # nothing written
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    code, out, err = _run(capsys, "sweep", "--plan", _tiny_plan(tmp_path), "--workers", workers)
+    _assert_one_error_line(code, out, err)
+    assert "workers must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dispatchsim import engine, kernel
 from dispatchsim.analysis import WeibullDistribution, card_thresholds
 from dispatchsim.engine import run
 from dispatchsim.policies import least_work_left, parse_policy
+from dispatchsim.randomness import policy_rng
 from dispatchsim.workload import ClusterConfig, Workload, fit_weibull, generate_poisson_weibull
 
 _FIELDS = ("completion", "completed_stage", "stage1_server", "stage2_server", "transfer_time",
@@ -61,6 +62,46 @@ def test_kernel_matches_python_path_bit_for_bit(monkeypatch, label):
     slow = run(wl, cfg, policy, seed=3)
     assert fast.transfers > 0 or not policy.two_stage
     _assert_same_log(fast, slow)
+
+
+def _contract_run(impl, kind, stage1, arr, size, thresholds):
+    """One call of a stage implementation on stage servers 2..5 of 6, with a
+    recording `settle`: it drains the fresh entries off a's instant, in
+    descending server order within an instant, and holds those at a."""
+    state = np.zeros((3, 6))
+    state[:, :2] = 7.0  # the other stage's servers, which no call may touch
+    calls = []
+
+    def settle(k, fresh, done, where):
+        calls.append((k, fresh, np.asarray(done[:k]).tolist(), np.asarray(where[:k]).tolist()))
+        out = sorted((e for e in fresh if e[0] != arr[k]), key=lambda e: (e[0], -e[1]))
+        return out, [e for e in fresh if e[0] == arr[k]]
+    done, where = impl(kind, arr, size, size, 2, 4, 1.0, *state, policy_rng(5, int(stage1)),
+                       thresholds, stage1, settle)
+    return done.tolist(), where.tolist(), state.tolist(), calls
+
+
+@pytest.mark.parametrize("kind,stage1", [("rr", False), ("lwl", False), ("card", False),
+                                         ("jiq", False), ("jiq", True)])
+def test_python_stage_keeps_the_kernel_contract(kind, stage1):
+    # arrivals and sizes on a grid of quarters: lwl and card tie on backlogs,
+    # and jiq's servers drain together and at arrival instants, so its tie
+    # handler runs; both implementations must call it with the same
+    # arguments and obey its answer the same way
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("no C compiler to build the kernel")
+    rng = np.random.default_rng(11)
+    arr = np.round(np.cumsum(rng.exponential(0.4, 1500)) * 4) / 4
+    size = rng.choice([0.5, 1.0, 2.0], 1500)  # load about 0.73
+    thresholds = card_thresholds(WeibullDistribution(fit_weibull(1.0, 10.0)), 4, 0.8)
+    fast = _contract_run(lib.stage, kind, stage1, arr, size, thresholds)
+    slow = _contract_run(engine._stage, kind, stage1, arr, size, thresholds)
+    assert fast[:3] == slow[:3]  # done, where, then clear, busy and since
+    assert fast[3] == slow[3]
+    assert (len(fast[3]) > 50) == (kind == "jiq")
+    if stage1:
+        assert any(arr[k] in [c for c, _g in fresh] for k, fresh, *_ in fast[3])
 
 
 class _Halves:

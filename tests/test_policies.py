@@ -40,8 +40,9 @@ def test_jiq_starts_all_idle_then_tracks_bits():
         j = pol.choose()
         assert j not in seen  # a cleared bit cannot be chosen again
         seen.add(j)
-        pol.on_assign(j)
+        assert pol.on_assign(j)  # it leaves the idle table
     assert seen == {0, 1, 2, 3}
+    assert not pol.on_assign(pol.choose())  # drawn from the all-busy branch
 
 
 def test_jiq_single_idle_is_forced():
@@ -67,6 +68,7 @@ def test_jiq_idle_message_restores_bit():
     pol.on_assign(1)
     pol.on_server_idle(0)
     assert pol.choose() == 0
+    assert not pol.on_assign(1) and pol.on_assign(0)  # only the drained one was idle
 
 
 def test_jiq_rejects_double_idle_message():
